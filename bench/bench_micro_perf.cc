@@ -11,6 +11,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "cache/hierarchy.hh"
 #include "common/rng.hh"
 #include "mct/predictors.hh"
@@ -36,6 +38,41 @@ BM_CacheAccess(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CacheAccess);
+
+void
+BM_CacheEagerScan(benchmark::State &state)
+{
+    // A full 2 MB / 16-way LLC: the 12 most recent ways of every set
+    // are dirty, and so is the LRU way of every 32nd set. Cyclic hits
+    // over 12 lines of set 0 put the whole hit histogram at stack
+    // position 11, so threshold 4 leaves a 4-position dead region and
+    // each call scans its full 64-set budget for two candidates.
+    Cache cache(CacheParams{"L3", 2 * 1024 * 1024, 16});
+    const std::uint64_t sets = cache.numSets();
+    Victim v;
+    for (std::uint64_t s = 0; s < sets; ++s) {
+        for (std::uint64_t t = 0; t < 16; ++t)
+            cache.access((t * sets + s) * lineBytes,
+                         t >= 4 || (t == 0 && s % 32 == 0), v);
+    }
+    for (std::uint64_t i = 0; i < 1200; ++i)
+        cache.access((4 + i % 12) * sets * lineBytes, false, v);
+    if (cache.uselessPositions(4) != 4) {
+        state.SkipWithError("unexpected dead region");
+        return;
+    }
+    std::vector<Addr> out;
+    for (auto _ : state) {
+        out.clear();
+        benchmark::DoNotOptimize(cache.collectEagerCandidates(4, 8, out));
+        // Re-dirty the candidates in place (a writeback hit keeps the
+        // stack position), so every call finds the same work.
+        for (const Addr a : out)
+            cache.writeback(a, v);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheEagerScan);
 
 void
 BM_HierarchyAccess(benchmark::State &state)

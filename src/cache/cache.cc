@@ -1,6 +1,8 @@
 #include "cache/cache.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 #include "common/instrument.hh"
 #include "common/logging.hh"
@@ -14,13 +16,15 @@ Cache::Cache(const CacheParams &params)
 {
     if (p.ways == 0 || p.sizeBytes == 0)
         mct_fatal("Cache ", p.name, ": ways and size must be positive");
+    if (p.ways > 64)
+        mct_fatal("Cache ", p.name, ": at most 64 ways (way masks are "
+                  "64 bits wide), got ", p.ways);
     if (p.sizeBytes % (static_cast<std::uint64_t>(p.ways) * lineBytes))
         mct_fatal("Cache ", p.name, ": size not divisible by ways*line");
     sets = p.sizeBytes / lineBytes / p.ways;
     if (sets == 0 || (sets & (sets - 1)) != 0)
         mct_fatal("Cache ", p.name, ": set count must be a power of two");
-    lines.resize(sets * p.ways);
-    posHits.assign(p.ways, 0);
+    reset();
 }
 
 std::uint64_t
@@ -35,37 +39,68 @@ Cache::tagOf(Addr addr) const
     return addr / lineBytes / sets;
 }
 
-Cache::Line *
-Cache::find(Addr addr)
+int
+Cache::findWay(std::uint64_t s, Addr tag) const
 {
-    const std::uint64_t s = setIndex(addr);
-    const Addr tag = tagOf(addr);
-    Line *base = &lines[s * p.ways];
+    const Addr *t = &tags[s * p.ways];
+    const std::uint64_t valid = masks[s].valid;
     for (unsigned w = 0; w < p.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
+        if (t[w] == tag && ((valid >> w) & 1))
+            return static_cast<int>(w);
     }
-    return nullptr;
-}
-
-const Cache::Line *
-Cache::find(Addr addr) const
-{
-    return const_cast<Cache *>(this)->find(addr);
+    return -1;
 }
 
 unsigned
-Cache::stackPosition(const Line &line) const
+Cache::allocate(std::uint64_t s, Victim &victim)
 {
-    const std::size_t idx = static_cast<std::size_t>(&line - &lines[0]);
-    const std::size_t setBase = idx - (idx % p.ways);
-    unsigned pos = 0;
-    for (unsigned w = 0; w < p.ways; ++w) {
-        const Line &other = lines[setBase + w];
-        if (&other != &line && other.valid && other.lastUse > line.lastUse)
-            ++pos;
+    const std::uint64_t allWays =
+        p.ways == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << p.ways) - 1;
+    const std::uint64_t invalid = ~masks[s].valid & allWays;
+    if (invalid)
+        return static_cast<unsigned>(std::countr_zero(invalid));
+
+    // Full set: the LRU way is the first with the largest rank, i.e.
+    // the first with the smallest lastUse.
+    const std::uint8_t *r = &rank[s * p.ways];
+    unsigned w = 0;
+    std::uint8_t oldest = r[0];
+    for (unsigned i = 1; i < p.ways; ++i) {
+        const bool older = r[i] > oldest;
+        oldest = older ? r[i] : oldest;
+        w = older ? i : w;
     }
-    return pos;
+    const bool dirty = (masks[s].dirty >> w) & 1;
+    ++st.evictions;
+    if (dirty)
+        ++st.dirtyEvictions;
+    victim.valid = true;
+    victim.dirty = dirty;
+    victim.addr = (tags[s * p.ways + w] * sets + s) * lineBytes;
+    return w;
+}
+
+void
+Cache::markDirty(std::uint64_t s, unsigned w)
+{
+    const std::uint64_t bit = std::uint64_t{1} << w;
+    if (masks[s].eager & ~masks[s].dirty & bit)
+        ++st.rewrites;
+    masks[s].dirty |= bit;
+    masks[s].eager &= ~bit;
+}
+
+void
+Cache::install(std::uint64_t s, unsigned w, Addr tag, std::uint64_t stamp,
+               bool dirty)
+{
+    const std::uint64_t bit = std::uint64_t{1} << w;
+    WayMasks &m = masks[s];
+    tags[s * p.ways + w] = tag;
+    lastUse[s * p.ways + w] = stamp;
+    m.valid |= bit;
+    m.dirty = dirty ? m.dirty | bit : m.dirty & ~bit;
+    m.eager &= ~bit;
 }
 
 bool
@@ -76,48 +111,34 @@ Cache::access(Addr addr, bool write, Victim &victim)
         decayHistogram();
     victim = Victim{};
 
-    if (Line *line = find(addr)) {
+    const std::uint64_t s = setIndex(addr);
+    const Addr tag = tagOf(addr);
+    std::uint8_t *r = &rank[s * p.ways];
+    const int hit = findWay(s, tag);
+    if (hit >= 0) {
+        const unsigned w = static_cast<unsigned>(hit);
+        const unsigned pos = stackPosition(s, w);
         ++st.hits;
-        ++posHits[stackPosition(*line)];
-        line->lastUse = ++useCounter;
-        if (write) {
-            if (line->eagerClean && !line->dirty)
-                ++st.rewrites;
-            line->dirty = true;
-            line->eagerClean = false;
-        }
+        ++posHits[pos];
+        // The line becomes MRU: every way no deeper than it (ties
+        // included) moves one position deeper.
+        for (unsigned i = 0; i < p.ways; ++i)
+            r[i] += r[i] <= pos;
+        r[w] = 0;
+        lastUse[s * p.ways + w] = ++useCounter;
+        if (write)
+            markDirty(s, w);
         return true;
     }
 
-    // Miss: install, evicting the LRU way (preferring invalid ways).
-    const std::uint64_t s = setIndex(addr);
-    Line *base = &lines[s * p.ways];
-    Line *slot = nullptr;
-    for (unsigned w = 0; w < p.ways; ++w) {
-        if (!base[w].valid) {
-            slot = &base[w];
-            break;
-        }
-    }
-    if (!slot) {
-        slot = &base[0];
-        for (unsigned w = 1; w < p.ways; ++w) {
-            if (base[w].lastUse < slot->lastUse)
-                slot = &base[w];
-        }
-        ++st.evictions;
-        if (slot->dirty)
-            ++st.dirtyEvictions;
-        victim.valid = true;
-        victim.dirty = slot->dirty;
-        victim.addr = (slot->tag * sets +
-                       (static_cast<Addr>(s))) * lineBytes;
-    }
-    slot->tag = tagOf(addr);
-    slot->valid = true;
-    slot->dirty = write;
-    slot->eagerClean = false;
-    slot->lastUse = ++useCounter;
+    // Miss: install as MRU, evicting the LRU way (preferring invalid
+    // ways). The victim held the oldest timestamp, so its departure
+    // moves no other rank.
+    const unsigned w = allocate(s, victim);
+    for (unsigned i = 0; i < p.ways; ++i)
+        ++r[i];
+    r[w] = 0;
+    install(s, w, tag, ++useCounter, write);
     return false;
 }
 
@@ -125,60 +146,48 @@ void
 Cache::writeback(Addr addr, Victim &victim)
 {
     victim = Victim{};
-    if (Line *line = find(addr)) {
-        if (line->eagerClean && !line->dirty)
-            ++st.rewrites;
-        line->dirty = true;
-        line->eagerClean = false;
+    const std::uint64_t s = setIndex(addr);
+    const Addr tag = tagOf(addr);
+    const int hit = findWay(s, tag);
+    if (hit >= 0) {
         // A writeback does not constitute a use for recency purposes;
         // the line keeps its stack position.
+        markDirty(s, static_cast<unsigned>(hit));
         return;
     }
-    // Write-allocate the incoming dirty line.
-    const std::uint64_t s = setIndex(addr);
-    Line *base = &lines[s * p.ways];
-    Line *slot = nullptr;
-    for (unsigned w = 0; w < p.ways; ++w) {
-        if (!base[w].valid) {
-            slot = &base[w];
-            break;
-        }
+    // Write-allocate the incoming dirty line, inserted near the LRU
+    // end: writeback-allocated lines are not expected to be
+    // re-referenced soon.
+    const unsigned w = allocate(s, victim);
+    const std::uint64_t u =
+        useCounter > tags.size() ? useCounter - tags.size() : 0;
+    // Ranks against the older timestamp u: the new line sits below
+    // every newer way and above every strictly older one; ways at
+    // exactly u tie with it.
+    const std::size_t b = s * p.ways;
+    const std::uint64_t others = masks[s].valid & ~(std::uint64_t{1} << w);
+    unsigned mine = 0;
+    for (unsigned i = 0; i < p.ways; ++i) {
+        const bool other = (others >> i) & 1;
+        mine += other && lastUse[b + i] > u;
+        rank[b + i] += other && lastUse[b + i] < u;
     }
-    if (!slot) {
-        slot = &base[0];
-        for (unsigned w = 1; w < p.ways; ++w) {
-            if (base[w].lastUse < slot->lastUse)
-                slot = &base[w];
-        }
-        ++st.evictions;
-        if (slot->dirty)
-            ++st.dirtyEvictions;
-        victim.valid = true;
-        victim.dirty = slot->dirty;
-        victim.addr = (slot->tag * sets +
-                       (static_cast<Addr>(s))) * lineBytes;
-    }
-    slot->tag = tagOf(addr);
-    slot->valid = true;
-    slot->dirty = true;
-    slot->eagerClean = false;
-    // Inserted near the LRU end: writeback-allocated lines are not
-    // expected to be re-referenced soon.
-    slot->lastUse = useCounter > lines.size() ? useCounter - lines.size()
-                                              : 0;
+    rank[b + w] = static_cast<std::uint8_t>(mine);
+    install(s, w, tag, u, true);
 }
 
 bool
 Cache::contains(Addr addr) const
 {
-    return find(addr) != nullptr;
+    return findWay(setIndex(addr), tagOf(addr)) >= 0;
 }
 
 bool
 Cache::isDirty(Addr addr) const
 {
-    const Line *line = find(addr);
-    return line && line->dirty;
+    const std::uint64_t s = setIndex(addr);
+    const int w = findWay(s, tagOf(addr));
+    return w >= 0 && ((masks[s].dirty >> w) & 1);
 }
 
 unsigned
@@ -206,6 +215,36 @@ Cache::uselessPositions(int eagerThreshold) const
     return n;
 }
 
+namespace
+{
+
+/**
+ * Way mask of the rank bytes @p r[0, ways) that are >= @p cut
+ * (1 <= cut < 64), eight bytes per step. Valid ranks are below 64;
+ * with each byte's top bit cleared (invalid ways hold unspecified
+ * ranks), adding 0x80 - cut sets a byte's top bit exactly when
+ * rank >= cut and never carries into the next byte. The multiply
+ * gathers the eight top bits into bits 56..63.
+ */
+std::uint64_t
+ranksAtLeast(const std::uint8_t *r, unsigned ways, unsigned cut)
+{
+    static_assert(std::endian::native == std::endian::little);
+    constexpr std::uint64_t ones = 0x0101010101010101;
+    const std::uint64_t bias = ones * (0x80 - cut);
+    std::uint64_t mask = 0;
+    for (unsigned w = 0; w < ways; w += 8) {
+        std::uint64_t bytes = 0; // zero past the last way: below cut
+        std::memcpy(&bytes, r + w, std::min(8u, ways - w));
+        const std::uint64_t low7 = bytes & (ones * 0x7f);
+        const std::uint64_t top = ((low7 + bias) >> 7) & ones;
+        mask |= (top * 0x0102040810204080 >> 56) << w;
+    }
+    return mask;
+}
+
+} // namespace
+
 unsigned
 Cache::collectEagerCandidates(int eagerThreshold, unsigned maxCount,
                               std::vector<Addr> &out)
@@ -213,6 +252,7 @@ Cache::collectEagerCandidates(int eagerThreshold, unsigned maxCount,
     const unsigned dead = uselessPositions(eagerThreshold);
     if (dead == 0 || maxCount == 0)
         return 0;
+    const unsigned cut = p.ways - dead; // first dead stack position
     unsigned found = 0;
     // Rotate through the sets so all of the LLC is eventually scanned
     // across calls; each call is bounded so the scanner stays cheap
@@ -222,21 +262,37 @@ Cache::collectEagerCandidates(int eagerThreshold, unsigned maxCount,
          ++visited) {
         const std::uint64_t s = scanCursor;
         scanCursor = (scanCursor + 1) & (sets - 1);
-        Line *base = &lines[s * p.ways];
-        for (unsigned w = 0; w < p.ways && found < maxCount; ++w) {
-            Line &line = base[w];
-            if (!line.valid || !line.dirty)
-                continue;
-            if (stackPosition(line) < p.ways - dead)
-                continue;
-            line.dirty = false;
-            line.eagerClean = true;
+        std::uint64_t cand = masks[s].valid & masks[s].dirty;
+        if (!cand)
+            continue;
+        cand &= ranksAtLeast(&rank[s * p.ways], p.ways, cut);
+        for (; cand && found < maxCount; cand &= cand - 1) {
+            const unsigned w = static_cast<unsigned>(std::countr_zero(cand));
+            const std::uint64_t bit = std::uint64_t{1} << w;
+            masks[s].dirty &= ~bit;
+            masks[s].eager |= bit;
             ++st.eagerCleaned;
-            out.push_back((line.tag * sets + s) * lineBytes);
+            out.push_back((tags[s * p.ways + w] * sets + s) * lineBytes);
             ++found;
         }
     }
     return found;
+}
+
+void
+Cache::rebuildRanks(std::uint64_t s)
+{
+    const std::size_t b = s * p.ways;
+    const std::uint64_t valid = masks[s].valid;
+    for (unsigned w = 0; w < p.ways; ++w) {
+        unsigned pos = 0;
+        if ((valid >> w) & 1) {
+            for (unsigned i = 0; i < p.ways; ++i)
+                pos += i != w && ((valid >> i) & 1) &&
+                       lastUse[b + i] > lastUse[b + w];
+        }
+        rank[b + w] = static_cast<std::uint8_t>(pos);
+    }
 }
 
 void
@@ -250,8 +306,11 @@ Cache::decayHistogram()
 void
 Cache::reset()
 {
-    for (auto &line : lines)
-        line = Line{};
+    const std::size_t n = sets * p.ways;
+    tags.assign(n, 0);
+    lastUse.assign(n, 0);
+    rank.assign(n, 0);
+    masks.assign(sets, WayMasks{});
     posHits.assign(p.ways, 0);
     useCounter = 0;
     scanCursor = 0;
@@ -262,13 +321,17 @@ Cache::reset()
 void
 Cache::serialize(Serializer &s) const
 {
-    s.putU64(lines.size());
-    for (const Line &line : lines) {
-        s.putU64(line.tag);
-        s.putBool(line.valid);
-        s.putBool(line.dirty);
-        s.putBool(line.eagerClean);
-        s.putU64(line.lastUse);
+    // Per-line (tag, valid, dirty, eagerClean, lastUse) tuples in
+    // set-major way order; ranks are derived and not written.
+    s.putU64(tags.size());
+    for (std::size_t i = 0; i < tags.size(); ++i) {
+        const std::size_t set = i / p.ways;
+        const unsigned w = static_cast<unsigned>(i % p.ways);
+        s.putU64(tags[i]);
+        s.putBool((masks[set].valid >> w) & 1);
+        s.putBool((masks[set].dirty >> w) & 1);
+        s.putBool((masks[set].eager >> w) & 1);
+        s.putU64(lastUse[i]);
     }
     s.putU64(posHits.size());
     for (const std::uint64_t h : posHits)
@@ -284,18 +347,34 @@ Cache::serialize(Serializer &s) const
     s.putU64(st.rewrites);
 }
 
+namespace
+{
+
+/** Set or clear @p bit of @p mask. */
+void
+assignBit(std::uint64_t &mask, std::uint64_t bit, bool on)
+{
+    mask = on ? mask | bit : mask & ~bit;
+}
+
+} // namespace
+
 void
 Cache::deserialize(Deserializer &d)
 {
-    if (d.getU64() != lines.size())
+    if (d.getU64() != tags.size())
         mct_panic("checkpoint cache geometry mismatch: ", p.name);
-    for (Line &line : lines) {
-        line.tag = d.getU64();
-        line.valid = d.getBool();
-        line.dirty = d.getBool();
-        line.eagerClean = d.getBool();
-        line.lastUse = d.getU64();
+    for (std::size_t i = 0; i < tags.size(); ++i) {
+        const std::size_t set = i / p.ways;
+        const std::uint64_t bit = std::uint64_t{1} << (i % p.ways);
+        tags[i] = d.getU64();
+        assignBit(masks[set].valid, bit, d.getBool());
+        assignBit(masks[set].dirty, bit, d.getBool());
+        assignBit(masks[set].eager, bit, d.getBool());
+        lastUse[i] = d.getU64();
     }
+    for (std::uint64_t set = 0; set < sets; ++set)
+        rebuildRanks(set);
     if (d.getU64() != posHits.size())
         mct_panic("checkpoint cache way-count mismatch: ", p.name);
     for (std::uint64_t &h : posHits)

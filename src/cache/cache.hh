@@ -7,6 +7,19 @@
  * least-recently-used stack positions are considered "useless" when
  * they contribute less than 1/eager_threshold of all hits, and dirty
  * lines residing there may be written back to NVM early.
+ *
+ * Storage is a structure of arrays with one contiguous run of
+ * `ways` entries per set: tags, LRU timestamps (lastUse) and one
+ * rank byte per way, plus three 64-bit way masks per set (valid,
+ * dirty, eager-clean). A valid way's rank is its LRU stack position:
+ * the number of other valid ways in the set with a strictly larger
+ * lastUse, so ways with equal timestamps share a rank. Every update
+ * keeps the ranks exact, which makes the stack position a lookup,
+ * the victim the first way with the largest rank, and the eager scan
+ * a per-set mask of dirty ways whose rank falls in the dead region.
+ * lastUse stays because writeback fills are placed at an older
+ * timestamp (their rank is counted against it) and because the
+ * checkpoint format records it; ranks are rebuilt from it on restore.
  */
 
 #ifndef MCT_CACHE_CACHE_HH
@@ -25,7 +38,7 @@ class StatRegistry;
 class Serializer;
 class Deserializer;
 
-/** Geometry of one cache level. */
+/** Geometry of one cache level (at most 64 ways). */
 struct CacheParams
 {
     std::string name = "cache";
@@ -132,18 +145,21 @@ class Cache
     void deserialize(Deserializer &d);
 
   private:
-    struct Line
+    /** Per-set way masks; bit w is way w. */
+    struct WayMasks
     {
-        Addr tag = 0;
-        bool valid = false;
-        bool dirty = false;
-        bool eagerClean = false; // cleaned by an eager writeback
-        std::uint64_t lastUse = 0;
+        std::uint64_t valid = 0;
+        std::uint64_t dirty = 0;
+        std::uint64_t eager = 0; // cleaned by an eager writeback
     };
 
     CacheParams p;
     std::uint64_t sets;
-    std::vector<Line> lines;
+    // Per-way state; entry s * ways + w is way w of set s.
+    std::vector<Addr> tags;
+    std::vector<std::uint64_t> lastUse;
+    std::vector<std::uint8_t> rank; // stack position; unspecified if invalid
+    std::vector<WayMasks> masks;
     std::vector<std::uint64_t> posHits;
     std::uint64_t useCounter = 0;
     std::uint64_t scanCursor = 0;  // rotating eager-scan position
@@ -155,11 +171,31 @@ class Cache
 
     std::uint64_t setIndex(Addr addr) const;
     Addr tagOf(Addr addr) const;
-    Line *find(Addr addr);
-    const Line *find(Addr addr) const;
 
-    /** LRU stack depth of the given line within its set (0 = MRU). */
-    unsigned stackPosition(const Line &line) const;
+    /** Way of set @p s holding @p tag, or -1 when absent. */
+    int findWay(std::uint64_t s, Addr tag) const;
+
+    /** LRU stack depth of way @p w of set @p s (0 = MRU). */
+    unsigned stackPosition(std::uint64_t s, unsigned w) const
+    {
+        return rank[s * p.ways + w];
+    }
+
+    /**
+     * Way to fill in set @p s: the first invalid way, else the LRU
+     * way, whose eviction is counted and reported in @p victim.
+     */
+    unsigned allocate(std::uint64_t s, Victim &victim);
+
+    /** Fill way @p w of set @p s (ranks are the caller's job). */
+    void install(std::uint64_t s, unsigned w, Addr tag,
+                 std::uint64_t stamp, bool dirty);
+
+    /** Dirty way @p w of set @p s, counting a rewrite if eager-clean. */
+    void markDirty(std::uint64_t s, unsigned w);
+
+    /** Recompute every rank of set @p s from lastUse. */
+    void rebuildRanks(std::uint64_t s);
 
     void decayHistogram();
 };
