@@ -354,6 +354,58 @@ TEST(SystemRoundTrip, RestoredRunMatchesUninterrupted)
     EXPECT_EQ(b.retired(), a.retired());
 }
 
+/**
+ * Run @p app until a quantum boundary that satisfies @p ready, restore
+ * that state into a fresh System, and check that both stay byte-equal
+ * over further chunks of different lengths.
+ */
+template <typename Ready>
+void
+expectRestoreLockstep(const std::string &app, InstCount warmup,
+                      Ready ready)
+{
+    SystemParams sp;
+    const MellowConfig cfg = staticBaselineConfig();
+    System a(app, sp, cfg);
+    a.run(warmup);
+    for (int tries = 0; !ready(a) && tries < 1000; ++tries)
+        a.run(7);
+    ASSERT_TRUE(ready(a)) << app << ": no boundary met the condition";
+
+    const std::string mid = stateBytes(a);
+    System b(app, sp, cfg);
+    Deserializer d(mid);
+    b.deserialize(d);
+    ASSERT_TRUE(d.atEnd());
+    ASSERT_EQ(stateBytes(b), mid);
+    for (int chunk = 0; chunk < 30; ++chunk) {
+        const InstCount insts = 500 + 97 * chunk;
+        a.run(insts);
+        b.run(insts);
+        ASSERT_EQ(stateBytes(b), stateBytes(a)) << app << " chunk " << chunk;
+    }
+    EXPECT_EQ(b.retired(), a.retired());
+}
+
+TEST(SystemRoundTrip, GupsRestoreWithBanksBusyStaysInLockstep)
+{
+    // Every gups load is dependent (depProb 1), so no demand read
+    // outlives a quantum; once the LLC is full, writebacks keep banks
+    // busy instead.
+    expectRestoreLockstep("gups", 400 * 1000, [](const System &s) {
+        return s.controller().busyBanks() >= 2;
+    });
+}
+
+TEST(SystemRoundTrip, RestoreWithMshrsOutstandingStaysInLockstep)
+{
+    // milc overlaps up to 8 independent misses.
+    expectRestoreLockstep("milc", 20 * 1000, [](const System &s) {
+        return s.core().outstandingReads() >= 3 &&
+               s.controller().busyBanks() > 0;
+    });
+}
+
 /** Scaled-down runtime parameters so controller tests stay quick. */
 MctParams
 fastParams()
