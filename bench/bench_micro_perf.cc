@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -108,6 +109,41 @@ BM_ControllerReadService(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ControllerReadService);
+
+void
+BM_ControllerWriteStorm(benchmark::State &state)
+{
+    // gups at the controller: each op writes back a random dirty line
+    // and issues a dependent read of another random line, then pumps
+    // the controller event by event until that read returns, as Core
+    // does (items = read-modify-write ops).
+    NvmDevice dev{NvmParams{}};
+    MemController ctrl(dev, MemCtrlParams{}, staticBaselineConfig());
+    Rng rng(13);
+    Tick t = 0;
+    std::uint64_t id = 0;
+    auto pump = [&] {
+        const Tick next = ctrl.nextEventTick();
+        ctrl.advance(next == ctrl.now() ? next + 1 : next);
+        t = std::max(t, ctrl.now());
+    };
+    for (auto _ : state) {
+        while (!ctrl.submitWrite(rng.below(1 << 24) * lineBytes, t))
+            pump();
+        const Addr addr = rng.below(1 << 24) * lineBytes;
+        while (!ctrl.submitRead(addr, t, ++id))
+            pump();
+        for (bool done = false; !done;) {
+            pump();
+            for (const auto &[rid, tick] : ctrl.completedReads())
+                done |= rid == id;
+            ctrl.completedReads().clear();
+        }
+        t += 2 * tickNs;
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ControllerWriteStorm);
 
 void
 BM_SystemSimulation(benchmark::State &state)

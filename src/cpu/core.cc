@@ -54,6 +54,7 @@ Core::Core(unsigned id, const CoreParams &params, Workload &workload,
 {
     if (p.issueWidth == 0)
         mct_fatal("Core: issueWidth must be positive");
+    outstanding.reserve(p.maxMshrs + 1);
     router.addCore(this);
 }
 
@@ -77,7 +78,11 @@ Core::ipc() const
 void
 Core::onReadComplete(std::uint64_t id, Tick tick)
 {
-    outstanding.erase(id);
+    const auto it = std::find(outstanding.begin(), outstanding.end(), id);
+    if (it != outstanding.end()) {
+        *it = outstanding.back();
+        outstanding.pop_back();
+    }
     lastCompletionTick = std::max(lastCompletionTick, tick);
     if (spans)
         spans->end(id, tick, 0);
@@ -162,7 +167,7 @@ Core::executeMemOp()
             st.memStallTicks += cpuTick - before;
         }
         ++st.memReads;
-        outstanding.insert(id);
+        outstanding.push_back(id);
         if (spans)
             spans->stageEnter(id, SpanStage::Mshr, cpuTick);
         router.drain();
@@ -217,7 +222,8 @@ void
 Core::waitForRead(std::uint64_t id)
 {
     const Tick before = cpuTick;
-    while (outstanding.count(id)) {
+    while (std::find(outstanding.begin(), outstanding.end(), id) !=
+           outstanding.end()) {
         pumpController();
     }
     cpuTick = std::max(cpuTick, lastCompletionTick);
@@ -281,10 +287,9 @@ Core::serialize(Serializer &s) const
     rng.serialize(s);
     s.putU64(cpuTick);
     s.putU64(nextReadSeq);
-    // The MSHR set is unordered; serialize sorted so identical state
-    // always produces identical bytes.
-    std::vector<std::uint64_t> ids(outstanding.begin(),
-                                   outstanding.end());
+    // The MSHR array's order depends on completion order; serialize
+    // sorted so identical state always produces identical bytes.
+    std::vector<std::uint64_t> ids = outstanding;
     std::sort(ids.begin(), ids.end());
     s.putU64(ids.size());
     for (const std::uint64_t id : ids)
@@ -339,7 +344,7 @@ Core::deserialize(Deserializer &d)
     outstanding.clear();
     const std::uint64_t nOutstanding = d.getU64();
     for (std::uint64_t i = 0; i < nOutstanding && d.ok(); ++i)
-        outstanding.insert(d.getU64());
+        outstanding.push_back(d.getU64());
     lastCompletionTick = d.getU64();
     memOpsSinceEagerCheck = d.getU64();
     pendingOp.gap = d.getU32();

@@ -15,6 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/manifest.hh"
 #include "report.hh"
 
@@ -29,9 +31,12 @@ class TempFile
   public:
     explicit TempFile(const std::string &text)
     {
+        // ctest runs each test in its own process, so the sequence
+        // number alone collides across concurrent tests; add the pid.
         static int seq = 0;
         path_ = std::string(::testing::TempDir()) + "mct_report_" +
-                std::to_string(++seq) + ".json";
+                std::to_string(::getpid()) + "_" + std::to_string(++seq) +
+                ".json";
         std::ofstream os(path_, std::ios::binary);
         os << text;
     }
