@@ -318,76 +318,50 @@ Cache::reset()
     st = CacheStats{};
 }
 
+template <typename Ar, typename Self>
 void
-Cache::serialize(Serializer &s) const
+Cache::io(Ar &ar, Self &self)
 {
     // Per-line (tag, valid, dirty, eagerClean, lastUse) tuples in
     // set-major way order; ranks are derived and not written.
-    s.putU64(tags.size());
-    for (std::size_t i = 0; i < tags.size(); ++i) {
-        const std::size_t set = i / p.ways;
-        const unsigned w = static_cast<unsigned>(i % p.ways);
-        s.putU64(tags[i]);
-        s.putBool((masks[set].valid >> w) & 1);
-        s.putBool((masks[set].dirty >> w) & 1);
-        s.putBool((masks[set].eager >> w) & 1);
-        s.putU64(lastUse[i]);
+    ar.expect(self.tags.size(),
+              "checkpoint cache geometry mismatch: ", self.p.name);
+    for (std::size_t i = 0; i < self.tags.size(); ++i) {
+        auto &masks = self.masks[i / self.p.ways];
+        const unsigned w = static_cast<unsigned>(i % self.p.ways);
+        ar.u64(self.tags[i]);
+        ar.bit(masks.valid, w);
+        ar.bit(masks.dirty, w);
+        ar.bit(masks.eager, w);
+        ar.u64(self.lastUse[i]);
     }
-    s.putU64(posHits.size());
-    for (const std::uint64_t h : posHits)
-        s.putU64(h);
-    s.putU64(useCounter);
-    s.putU64(scanCursor);
-    s.putU64(sinceDecay);
-    s.putU64(st.accesses);
-    s.putU64(st.hits);
-    s.putU64(st.evictions);
-    s.putU64(st.dirtyEvictions);
-    s.putU64(st.eagerCleaned);
-    s.putU64(st.rewrites);
+    ar.expect(self.posHits.size(),
+              "checkpoint cache way-count mismatch: ", self.p.name);
+    for (auto &h : self.posHits)
+        ar.u64(h);
+    ar.u64(self.useCounter);
+    ar.u64(self.scanCursor);
+    ar.u64(self.sinceDecay);
+    ar.u64(self.st.accesses);
+    ar.u64(self.st.hits);
+    ar.u64(self.st.evictions);
+    ar.u64(self.st.dirtyEvictions);
+    ar.u64(self.st.eagerCleaned);
+    ar.u64(self.st.rewrites);
 }
 
-namespace
-{
-
-/** Set or clear @p bit of @p mask. */
 void
-assignBit(std::uint64_t &mask, std::uint64_t bit, bool on)
+Cache::serialize(Serializer &s) const
 {
-    mask = on ? mask | bit : mask & ~bit;
+    io(s, *this);
 }
-
-} // namespace
 
 void
 Cache::deserialize(Deserializer &d)
 {
-    if (d.getU64() != tags.size())
-        mct_panic("checkpoint cache geometry mismatch: ", p.name);
-    for (std::size_t i = 0; i < tags.size(); ++i) {
-        const std::size_t set = i / p.ways;
-        const std::uint64_t bit = std::uint64_t{1} << (i % p.ways);
-        tags[i] = d.getU64();
-        assignBit(masks[set].valid, bit, d.getBool());
-        assignBit(masks[set].dirty, bit, d.getBool());
-        assignBit(masks[set].eager, bit, d.getBool());
-        lastUse[i] = d.getU64();
-    }
+    io(d, *this);
     for (std::uint64_t set = 0; set < sets; ++set)
         rebuildRanks(set);
-    if (d.getU64() != posHits.size())
-        mct_panic("checkpoint cache way-count mismatch: ", p.name);
-    for (std::uint64_t &h : posHits)
-        h = d.getU64();
-    useCounter = d.getU64();
-    scanCursor = d.getU64();
-    sinceDecay = d.getU64();
-    st.accesses = d.getU64();
-    st.hits = d.getU64();
-    st.evictions = d.getU64();
-    st.dirtyEvictions = d.getU64();
-    st.eagerCleaned = d.getU64();
-    st.rewrites = d.getU64();
 }
 
 void

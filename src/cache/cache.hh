@@ -198,6 +198,10 @@ class Cache
     void rebuildRanks(std::uint64_t s);
 
     void decayHistogram();
+
+    /** The checkpoint body; ranks are rebuilt, not saved. */
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 } // namespace mct

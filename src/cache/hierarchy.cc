@@ -1,6 +1,7 @@
 #include "cache/hierarchy.hh"
 
 #include "common/instrument.hh"
+#include "common/serialize.hh"
 
 namespace mct
 {
@@ -90,20 +91,25 @@ CacheHierarchy::reset()
     l3->reset();
 }
 
+template <typename Ar, typename Self>
+void
+CacheHierarchy::io(Ar &ar, Self &self)
+{
+    ar.obj(self.l1);
+    ar.obj(self.l2);
+    ar.obj(*self.l3);
+}
+
 void
 CacheHierarchy::serialize(Serializer &s) const
 {
-    l1.serialize(s);
-    l2.serialize(s);
-    l3->serialize(s);
+    io(s, *this);
 }
 
 void
 CacheHierarchy::deserialize(Deserializer &d)
 {
-    l1.deserialize(d);
-    l2.deserialize(d);
-    l3->deserialize(d);
+    io(d, *this);
 }
 
 void

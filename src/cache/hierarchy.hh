@@ -96,6 +96,9 @@ class CacheHierarchy
     std::shared_ptr<Cache> l3;
     SpanTrace *spans = nullptr;
 
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
+
     /** Push a dirty line down one level, cascading L3 evictions. */
     void writebackToL2(Addr addr, AccessOutcome &outcome);
     void writebackToL3(Addr addr, AccessOutcome &outcome);

@@ -252,6 +252,9 @@ class AlertEngine
     bool holds(const AlertRule &r, const Inst &in, double v) const;
     void bind(const StatSnapshot &delta);
     void pushLog(const LogEntry &e);
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 } // namespace mct

@@ -1622,372 +1622,275 @@ HostProfiler::writeChromeTrace(std::ostream &os) const
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint serialization. Every method pairs with a deserialize()
-// that restores the exact private state, so a resumed run re-produces
-// an uninterrupted run's output byte for byte.
+// Checkpoint serialization. Each io() body restores the exact private
+// state, so a resumed run re-produces an uninterrupted run's output
+// byte for byte.
 // ---------------------------------------------------------------------
+
+template <typename Ar, typename Self>
+void
+LogHistogram::io(Ar &ar, Self &self)
+{
+    for (auto &b : self.buckets_)
+        ar.u64(b);
+    ar.u64(self.n);
+    ar.f64(self.total);
+}
 
 void
 LogHistogram::serialize(Serializer &s) const
 {
-    for (const std::uint64_t b : buckets_)
-        s.putU64(b);
-    s.putU64(n);
-    s.putF64(total);
+    io(s, *this);
 }
 
 void
 LogHistogram::deserialize(Deserializer &d)
 {
-    for (std::uint64_t &b : buckets_)
-        b = d.getU64();
-    n = d.getU64();
-    total = d.getF64();
+    io(d, *this);
 }
 
 void
 serializeSnapshot(Serializer &s, const StatSnapshot &snap)
 {
-    s.putU64(snap.size());
-    for (const auto &[path, v] : snap) {
-        s.putStr(path);
-        s.putU8(static_cast<std::uint8_t>(v.kind));
-        s.putF64(v.num);
-        s.putU64(v.count);
-        s.putU64(v.buckets.size());
-        for (const std::uint64_t b : v.buckets)
-            s.putU64(b);
-    }
+    snapshotIo(s, snap);
 }
 
 StatSnapshot
 deserializeSnapshot(Deserializer &d)
 {
     StatSnapshot snap;
-    const std::uint64_t count = d.getU64();
-    for (std::uint64_t i = 0; i < count && d.ok(); ++i) {
-        std::string path = d.getStr();
-        StatValue v;
-        v.kind = static_cast<StatKind>(d.getU8());
-        v.num = d.getF64();
-        v.count = d.getU64();
-        v.buckets.resize(d.getU64());
-        for (std::uint64_t &b : v.buckets)
-            b = d.getU64();
-        snap.emplace(std::move(path), std::move(v));
-    }
+    snapshotIo(d, snap);
     return snap;
 }
 
+template <typename Ar, typename Self>
 void
-StatRegistry::serializeOwned(Serializer &s) const
+StatRegistry::io(Ar &ar, Self &self)
 {
+    // Owned cells and histograms in path order. The loading registry
+    // holds the same entries, re-registered by their owners.
     std::uint64_t owned = 0;
-    for (const auto &[path, e] : entries)
+    for (const auto &[path, e] : self.entries)
         if (e.cell || e.hist)
             ++owned;
-    s.putU64(owned);
-    for (const auto &[path, e] : entries) {
-        if (e.cell) {
-            s.putStr(path);
-            s.putU8(1);
-            s.putU64(*e.cell);
-        } else if (e.hist) {
-            s.putStr(path);
-            s.putU8(2);
-            e.hist->serialize(s);
-        }
+    ar.expect(owned, "checkpoint owned-stat count mismatch");
+    for (auto &[path, e] : self.entries) {
+        if (!e.cell && !e.hist)
+            continue;
+        ar.expect(path, "checkpoint owned stats differ at ", path);
+        const std::uint8_t tag = e.cell ? 1 : 2;
+        ar.expect(tag, "checkpoint cell/histogram mismatch at ", path);
+        if (e.cell)
+            ar.u64(*e.cell);
+        else
+            ar.obj(*e.hist);
     }
 }
 
 void
-StatRegistry::deserializeOwned(Deserializer &d)
+StatRegistry::serialize(Serializer &s) const
 {
-    const std::uint64_t owned = d.getU64();
-    for (std::uint64_t i = 0; i < owned && d.ok(); ++i) {
-        const std::string path = d.getStr();
-        const std::uint8_t tag = d.getU8();
-        auto it = entries.find(path);
-        if (it == entries.end())
-            mct_panic("checkpoint restores unregistered stat ", path);
-        if (tag == 1) {
-            if (!it->second.cell)
-                mct_panic("checkpoint cell/histogram mismatch at ", path);
-            *it->second.cell = d.getU64();
-        } else {
-            if (!it->second.hist)
-                mct_panic("checkpoint cell/histogram mismatch at ", path);
-            it->second.hist->deserialize(d);
-        }
+    io(s, *this);
+}
+
+void
+StatRegistry::deserialize(Deserializer &d)
+{
+    io(d, *this);
+}
+
+template <typename Ar, typename Self>
+void
+EventTrace::io(Ar &ar, Self &self)
+{
+    ar.expect(self.cap, "checkpoint EventTrace capacity mismatch");
+    ar.u64(self.head);
+    ar.u64(self.held);
+    ar.u64(self.total);
+    for (auto &e : self.ring) {
+        ar.u8(e.type);
+        ar.u64(e.inst);
+        for (auto &a : e.args)
+            ar.f64(a);
     }
 }
 
 void
 EventTrace::serialize(Serializer &s) const
 {
-    s.putU64(cap);
-    s.putU64(head);
-    s.putU64(held);
-    s.putU64(total);
-    for (const TraceEvent &e : ring) {
-        s.putU8(static_cast<std::uint8_t>(e.type));
-        s.putU64(e.inst);
-        for (const double a : e.args)
-            s.putF64(a);
-    }
+    io(s, *this);
 }
 
 void
 EventTrace::deserialize(Deserializer &d)
 {
-    if (d.getU64() != cap)
-        mct_panic("checkpoint EventTrace capacity mismatch");
-    head = static_cast<std::size_t>(d.getU64());
-    held = static_cast<std::size_t>(d.getU64());
-    total = d.getU64();
-    for (TraceEvent &e : ring) {
-        e.type = static_cast<TraceEventType>(d.getU8());
-        e.inst = d.getU64();
-        for (double &a : e.args)
-            a = d.getF64();
-    }
+    io(d, *this);
 }
 
 namespace
 {
 
+template <typename Ar, typename R>
 void
-serializeSpanRecord(Serializer &s, const SpanRecord &r)
+spanRecordIo(Ar &ar, R &r)
 {
-    s.putU64(r.id);
-    s.putU64(r.addr);
-    s.putBool(r.isWrite);
-    s.putI64(r.hitLevel);
-    s.putU64(r.inst);
-    s.putU64(r.begin);
-    s.putU64(r.end);
-    for (const Tick t : r.enter)
-        s.putU64(t);
-    for (const Tick t : r.exit)
-        s.putU64(t);
-    s.putU8(r.present);
-}
-
-void
-deserializeSpanRecord(Deserializer &d, SpanRecord &r)
-{
-    r.id = d.getU64();
-    r.addr = d.getU64();
-    r.isWrite = d.getBool();
-    r.hitLevel = static_cast<int>(d.getI64());
-    r.inst = d.getU64();
-    r.begin = d.getU64();
-    r.end = d.getU64();
-    for (Tick &t : r.enter)
-        t = d.getU64();
-    for (Tick &t : r.exit)
-        t = d.getU64();
-    r.present = d.getU8();
+    ar.u64(r.id);
+    ar.u64(r.addr);
+    ar.flag(r.isWrite);
+    ar.i64(r.hitLevel);
+    ar.u64(r.inst);
+    ar.u64(r.begin);
+    ar.u64(r.end);
+    for (auto &t : r.enter)
+        ar.u64(t);
+    for (auto &t : r.exit)
+        ar.u64(t);
+    ar.u8(r.present);
 }
 
 } // namespace
 
+template <typename Ar, typename Self>
+void
+SpanTrace::io(Ar &ar, Self &self)
+{
+    ar.expect(self.every, "checkpoint SpanTrace configuration mismatch");
+    ar.expect(self.cap, "checkpoint SpanTrace configuration mismatch");
+    ar.u64(self.head);
+    ar.u64(self.held);
+    ar.u64(self.total);
+    ar.u64(self.curId);
+    ar.flag(self.curValid);
+    for (auto &r : self.ring)
+        spanRecordIo(ar, r);
+    ar.seq(self.open, [&](auto &kv) {
+        ar.u64(kv.first);
+        spanRecordIo(ar, kv.second.rec);
+        ar.u8(kv.second.openBits);
+    });
+}
+
 void
 SpanTrace::serialize(Serializer &s) const
 {
-    s.putU64(every);
-    s.putU64(cap);
-    s.putU64(head);
-    s.putU64(held);
-    s.putU64(total);
-    s.putU64(curId);
-    s.putBool(curValid);
-    for (const SpanRecord &r : ring)
-        serializeSpanRecord(s, r);
-    s.putU64(open.size());
-    for (const auto &[id, o] : open) {
-        s.putU64(id);
-        serializeSpanRecord(s, o.rec);
-        s.putU8(o.openBits);
-    }
+    io(s, *this);
 }
 
 void
 SpanTrace::deserialize(Deserializer &d)
 {
-    if (d.getU64() != every || d.getU64() != cap)
-        mct_panic("checkpoint SpanTrace configuration mismatch");
-    head = static_cast<std::size_t>(d.getU64());
-    held = static_cast<std::size_t>(d.getU64());
-    total = d.getU64();
-    curId = d.getU64();
-    curValid = d.getBool();
-    for (SpanRecord &r : ring)
-        deserializeSpanRecord(d, r);
-    open.clear();
-    const std::uint64_t nOpen = d.getU64();
-    for (std::uint64_t i = 0; i < nOpen && d.ok(); ++i) {
-        const std::uint64_t id = d.getU64();
-        OpenSpan o;
-        deserializeSpanRecord(d, o.rec);
-        o.openBits = d.getU8();
-        open.emplace(id, std::move(o));
+    io(d, *this);
+}
+
+template <typename Ar, typename Self>
+void
+ProvenanceRecord::io(Ar &ar, Self &self)
+{
+    ar.u64(self.seq);
+    ar.u64(self.phase);
+    ar.u64(self.inst);
+    ar.u64(self.closeInst);
+    ar.str(self.model);
+    ar.str(self.configKey);
+    ar.i64(self.chosen);
+    ar.flag(self.fallback);
+    ar.u32(self.sampledConfigs);
+    ar.f64(self.minLifetimeYears);
+    ar.f64(self.ipcFraction);
+    ar.f64(self.safetyMargin);
+    for (auto &o : self.objectives) {
+        ar.f64(o.predicted);
+        ar.f64(o.uncertainty);
+        ar.f64(o.realized);
+        ar.f64(o.relError);
+        ar.flag(o.errorValid);
     }
+    ar.seq(self.runnerUps, [&](auto &c) {
+        ar.u32(c.config);
+        ar.f64(c.ipc);
+        ar.f64(c.lifetimeYears);
+        ar.f64(c.energyJ);
+        ar.flag(c.feasible);
+    });
+    ar.f64(self.bestSampledIpc);
+    ar.f64(self.regret);
+    ar.f64(self.cumRegret);
+    for (auto &attr : self.attribution)
+        ar.seq(attr, [&](auto &a) { ar.f64(a); });
+    ar.flag(self.closed);
 }
 
 void
 ProvenanceRecord::serialize(Serializer &s) const
 {
-    s.putU64(seq);
-    s.putU64(phase);
-    s.putU64(inst);
-    s.putU64(closeInst);
-    s.putStr(model);
-    s.putStr(configKey);
-    s.putI64(chosen);
-    s.putBool(fallback);
-    s.putU32(sampledConfigs);
-    s.putF64(minLifetimeYears);
-    s.putF64(ipcFraction);
-    s.putF64(safetyMargin);
-    for (const ProvenanceObjective &o : objectives) {
-        s.putF64(o.predicted);
-        s.putF64(o.uncertainty);
-        s.putF64(o.realized);
-        s.putF64(o.relError);
-        s.putBool(o.errorValid);
-    }
-    s.putU64(runnerUps.size());
-    for (const ProvenanceCandidate &c : runnerUps) {
-        s.putU32(c.config);
-        s.putF64(c.ipc);
-        s.putF64(c.lifetimeYears);
-        s.putF64(c.energyJ);
-        s.putBool(c.feasible);
-    }
-    s.putF64(bestSampledIpc);
-    s.putF64(regret);
-    s.putF64(cumRegret);
-    for (const std::vector<double> &attr : attribution) {
-        s.putU64(attr.size());
-        for (const double a : attr)
-            s.putF64(a);
-    }
-    s.putBool(closed);
+    io(s, *this);
 }
 
 void
 ProvenanceRecord::deserialize(Deserializer &d)
 {
-    seq = d.getU64();
-    phase = d.getU64();
-    inst = d.getU64();
-    closeInst = d.getU64();
-    model = d.getStr();
-    configKey = d.getStr();
-    chosen = static_cast<std::int32_t>(d.getI64());
-    fallback = d.getBool();
-    sampledConfigs = d.getU32();
-    minLifetimeYears = d.getF64();
-    ipcFraction = d.getF64();
-    safetyMargin = d.getF64();
-    for (ProvenanceObjective &o : objectives) {
-        o.predicted = d.getF64();
-        o.uncertainty = d.getF64();
-        o.realized = d.getF64();
-        o.relError = d.getF64();
-        o.errorValid = d.getBool();
-    }
-    runnerUps.resize(d.getU64());
-    for (ProvenanceCandidate &c : runnerUps) {
-        c.config = d.getU32();
-        c.ipc = d.getF64();
-        c.lifetimeYears = d.getF64();
-        c.energyJ = d.getF64();
-        c.feasible = d.getBool();
-    }
-    bestSampledIpc = d.getF64();
-    regret = d.getF64();
-    cumRegret = d.getF64();
-    for (std::vector<double> &attr : attribution) {
-        attr.resize(d.getU64());
-        for (double &a : attr)
-            a = d.getF64();
-    }
-    closed = d.getBool();
+    io(d, *this);
+}
+
+template <typename Ar, typename Self>
+void
+ProvenanceTrace::io(Ar &ar, Self &self)
+{
+    ar.expect(self.cap, "checkpoint ProvenanceTrace capacity mismatch");
+    ar.u64(self.head);
+    ar.u64(self.held);
+    ar.u64(self.total);
+    for (auto &r : self.ring)
+        ar.obj(r);
 }
 
 void
 ProvenanceTrace::serialize(Serializer &s) const
 {
-    s.putU64(cap);
-    s.putU64(head);
-    s.putU64(held);
-    s.putU64(total);
-    for (const ProvenanceRecord &r : ring)
-        r.serialize(s);
+    io(s, *this);
 }
 
 void
 ProvenanceTrace::deserialize(Deserializer &d)
 {
-    if (d.getU64() != cap)
-        mct_panic("checkpoint ProvenanceTrace capacity mismatch");
-    head = static_cast<std::size_t>(d.getU64());
-    held = static_cast<std::size_t>(d.getU64());
-    total = d.getU64();
-    for (ProvenanceRecord &r : ring)
-        r.deserialize(d);
+    io(d, *this);
+}
+
+template <typename Ar, typename Self>
+void
+MetricTimeline::io(Ar &ar, Self &self)
+{
+    ar.expect(self.cap, "checkpoint MetricTimeline capacity mismatch");
+    ar.u64(self.head);
+    ar.u64(self.held);
+    ar.u64(self.total);
+    ar.flag(self.bound_);
+    ar.seq(self.names, [&](auto &n) { ar.str(n); });
+    // Loading only: there is one rollup per name, written without a
+    // length of its own.
+    if constexpr (!Ar::saving)
+        self.rollups.resize(self.names.size());
+    for (auto &r : self.rollups) {
+        ar.f64(r.ewma);
+        ar.f64(r.min);
+        ar.f64(r.max);
+    }
+    for (auto &w : self.ring) {
+        ar.u64(w.inst);
+        ar.seq(w.vals, [&](auto &v) { ar.f64(v); });
+    }
 }
 
 void
 MetricTimeline::serialize(Serializer &s) const
 {
-    s.putU64(cap);
-    s.putU64(head);
-    s.putU64(held);
-    s.putU64(total);
-    s.putBool(bound_);
-    s.putU64(names.size());
-    for (const std::string &n : names)
-        s.putStr(n);
-    for (const Rollup &r : rollups) {
-        s.putF64(r.ewma);
-        s.putF64(r.min);
-        s.putF64(r.max);
-    }
-    for (const Window &w : ring) {
-        s.putU64(w.inst);
-        s.putU64(w.vals.size());
-        for (const double v : w.vals)
-            s.putF64(v);
-    }
+    io(s, *this);
 }
 
 void
 MetricTimeline::deserialize(Deserializer &d)
 {
-    if (d.getU64() != cap)
-        mct_panic("checkpoint MetricTimeline capacity mismatch");
-    head = static_cast<std::size_t>(d.getU64());
-    held = static_cast<std::size_t>(d.getU64());
-    total = d.getU64();
-    bound_ = d.getBool();
-    names.resize(d.getU64());
-    for (std::string &n : names)
-        n = d.getStr();
-    rollups.resize(names.size());
-    for (Rollup &r : rollups) {
-        r.ewma = d.getF64();
-        r.min = d.getF64();
-        r.max = d.getF64();
-    }
-    for (Window &w : ring) {
-        w.inst = d.getU64();
-        w.vals.resize(d.getU64());
-        for (double &v : w.vals)
-            v = d.getF64();
-    }
+    io(d, *this);
 }
 
 } // namespace mct

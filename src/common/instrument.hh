@@ -117,6 +117,9 @@ class LogHistogram
     std::array<std::uint64_t, numBuckets> buckets_{};
     std::uint64_t n = 0;
     double total = 0.0;
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 /** One stat's value as captured by a snapshot. */
@@ -138,7 +141,22 @@ struct StatValue
  *  serialization of the same snapshot is byte-identical). */
 using StatSnapshot = std::map<std::string, StatValue>;
 
-/** Checkpoint a snapshot (map order makes the bytes deterministic). */
+/** The checkpoint body of a snapshot: (path, value) records in map
+ *  order, which makes the bytes deterministic. */
+template <typename Ar, typename Snap>
+void
+snapshotIo(Ar &ar, Snap &snap)
+{
+    ar.seq(snap, [&](auto &kv) {
+        ar.str(kv.first);
+        ar.u8(kv.second.kind);
+        ar.f64(kv.second.num);
+        ar.u64(kv.second.count);
+        ar.seq(kv.second.buckets, [&](auto &b) { ar.u64(b); });
+    });
+}
+
+/** Checkpoint a snapshot. */
 void serializeSnapshot(Serializer &s, const StatSnapshot &snap);
 
 /** Restore a snapshot written by serializeSnapshot(). */
@@ -236,14 +254,14 @@ class StatRegistry
      * Closure-backed stats read live component state and are restored
      * by the components themselves.
      */
-    void serializeOwned(Serializer &s) const;
+    void serialize(Serializer &s) const;
 
     /**
-     * Restore registry-owned state written by serializeOwned(). The
-     * owning components must have re-registered their paths first; an
-     * unknown path is a checkpoint-format bug and panics.
+     * Restore registry-owned state written by serialize(). The owning
+     * components must have re-registered the same paths first; any
+     * difference is a checkpoint-format bug and panics.
      */
-    void deserializeOwned(Deserializer &d);
+    void deserialize(Deserializer &d);
 
   private:
     struct Entry
@@ -259,6 +277,9 @@ class StatRegistry
 
     std::map<std::string, Entry> entries;
     std::vector<std::string> order; // registration order (for paths())
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 
     Entry &insert(const std::string &path, const std::string &desc);
 };
@@ -400,6 +421,9 @@ class EventTrace
     const InstCount *clock = nullptr;
 
     void push(TraceEventType type, double a0, double a1, double a2);
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 /**
@@ -580,6 +604,9 @@ class SpanTrace
     const InstCount *clock = nullptr;
 
     void push(const SpanRecord &rec);
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 /** Objectives a ProvenanceRecord audits, in storage order. */
@@ -665,6 +692,9 @@ struct ProvenanceRecord
 
     /** Restore a record written by serialize(). */
     void deserialize(Deserializer &d);
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 /**
@@ -753,6 +783,9 @@ class ProvenanceTrace
     std::size_t held = 0;
     std::uint64_t total = 0;
     EventTrace *events_ = nullptr;
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 /**
@@ -889,6 +922,9 @@ class MetricTimeline
     bool bound_ = false;
 
     bool selected(const std::string &path) const;
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 /**

@@ -130,29 +130,25 @@ class Rng
 
     /** Checkpoint the full stream position (xoshiro state plus the
      *  buffered Box-Muller spare). */
-    void
-    serialize(Serializer &s) const
-    {
-        for (const std::uint64_t word : state)
-            s.putU64(word);
-        s.putBool(haveSpare);
-        s.putF64(spare);
-    }
+    void serialize(Serializer &s) const { io(s, *this); }
 
     /** Restore a stream checkpointed with serialize(). */
-    void
-    deserialize(Deserializer &d)
-    {
-        for (std::uint64_t &word : state)
-            word = d.getU64();
-        haveSpare = d.getBool();
-        spare = d.getF64();
-    }
+    void deserialize(Deserializer &d) { io(d, *this); }
 
   private:
     std::uint64_t state[4];
     bool haveSpare = false;
     double spare = 0.0;
+
+    template <typename Ar, typename Self>
+    static void
+    io(Ar &ar, Self &self)
+    {
+        for (auto &word : self.state)
+            ar.u64(word);
+        ar.flag(self.haveSpare);
+        ar.f64(self.spare);
+    }
 };
 
 } // namespace mct

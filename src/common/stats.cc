@@ -74,28 +74,26 @@ SlidingWindow::clear()
     sum = sumSq = 0.0;
 }
 
+template <typename Ar, typename Self>
+void
+SlidingWindow::io(Ar &ar, Self &self)
+{
+    ar.expect(self.cap, "checkpoint SlidingWindow capacity mismatch");
+    ar.seq(self.buf, [&](auto &x) { ar.f64(x); });
+    ar.f64(self.sum);
+    ar.f64(self.sumSq);
+}
+
 void
 SlidingWindow::serialize(Serializer &s) const
 {
-    s.putU64(cap);
-    s.putU64(buf.size());
-    for (const double x : buf)
-        s.putF64(x);
-    s.putF64(sum);
-    s.putF64(sumSq);
+    io(s, *this);
 }
 
 void
 SlidingWindow::deserialize(Deserializer &d)
 {
-    if (d.getU64() != cap)
-        mct_panic("checkpoint SlidingWindow capacity mismatch");
-    buf.clear();
-    const std::uint64_t count = d.getU64();
-    for (std::uint64_t i = 0; i < count && d.ok(); ++i)
-        buf.push_back(d.getF64());
-    sum = d.getF64();
-    sumSq = d.getF64();
+    io(d, *this);
 }
 
 double

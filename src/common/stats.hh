@@ -115,6 +115,9 @@ class SlidingWindow
     std::deque<double> buf;
     double sum = 0.0;
     double sumSq = 0.0;
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 /** Geometric mean of strictly positive values (0 if empty). */

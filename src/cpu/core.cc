@@ -5,6 +5,7 @@
 
 #include "common/instrument.hh"
 #include "common/logging.hh"
+#include "common/serialize.hh"
 
 namespace mct
 {
@@ -281,79 +282,72 @@ Core::registerStats(StatRegistry &reg, const std::string &prefix) const
                    [s] { return s->wbStallTicks; });
 }
 
+template <typename Ar, typename Self>
+void
+Core::io(Ar &ar, Self &self)
+{
+    ar.obj(self.rng);
+    ar.u64(self.cpuTick);
+    ar.u64(self.nextReadSeq);
+    if constexpr (Ar::saving) {
+        // Saving only: the MSHR array's order depends on completion
+        // order, so write it sorted and identical state always
+        // produces identical bytes. Loading reads it back as is.
+        std::vector<std::uint64_t> ids = self.outstanding;
+        std::sort(ids.begin(), ids.end());
+        ar.seq(ids, [&](auto &id) { ar.u64(id); });
+    } else {
+        ar.seq(self.outstanding, [&](auto &id) { ar.u64(id); });
+    }
+    ar.u64(self.lastCompletionTick);
+    ar.u64(self.memOpsSinceEagerCheck);
+    ar.u32(self.pendingOp.gap);
+    ar.flag(self.pendingOp.isWrite);
+    ar.u64(self.pendingOp.addr);
+    ar.flag(self.pendingOp.dependent);
+    ar.flag(self.havePending);
+    ar.u32(self.gapLeft);
+    ar.obj(self.st);
+}
+
 void
 Core::serialize(Serializer &s) const
 {
-    rng.serialize(s);
-    s.putU64(cpuTick);
-    s.putU64(nextReadSeq);
-    // The MSHR array's order depends on completion order; serialize
-    // sorted so identical state always produces identical bytes.
-    std::vector<std::uint64_t> ids = outstanding;
-    std::sort(ids.begin(), ids.end());
-    s.putU64(ids.size());
-    for (const std::uint64_t id : ids)
-        s.putU64(id);
-    s.putU64(lastCompletionTick);
-    s.putU64(memOpsSinceEagerCheck);
-    s.putU32(pendingOp.gap);
-    s.putBool(pendingOp.isWrite);
-    s.putU64(pendingOp.addr);
-    s.putBool(pendingOp.dependent);
-    s.putBool(havePending);
-    s.putU32(gapLeft);
-    st.serialize(s);
-}
-
-void
-CoreStats::serialize(Serializer &s) const
-{
-    s.putU64(instructions);
-    s.putU64(memOps);
-    s.putU64(l1Hits);
-    s.putU64(l2Hits);
-    s.putU64(l3Hits);
-    s.putU64(memReads);
-    s.putU64(memWrites);
-    s.putU64(eagerSubmitted);
-    s.putU64(memStallTicks);
-    s.putU64(wbStallTicks);
-}
-
-void
-CoreStats::deserialize(Deserializer &d)
-{
-    instructions = d.getU64();
-    memOps = d.getU64();
-    l1Hits = d.getU64();
-    l2Hits = d.getU64();
-    l3Hits = d.getU64();
-    memReads = d.getU64();
-    memWrites = d.getU64();
-    eagerSubmitted = d.getU64();
-    memStallTicks = d.getU64();
-    wbStallTicks = d.getU64();
+    io(s, *this);
 }
 
 void
 Core::deserialize(Deserializer &d)
 {
-    rng.deserialize(d);
-    cpuTick = d.getU64();
-    nextReadSeq = d.getU64();
-    outstanding.clear();
-    const std::uint64_t nOutstanding = d.getU64();
-    for (std::uint64_t i = 0; i < nOutstanding && d.ok(); ++i)
-        outstanding.push_back(d.getU64());
-    lastCompletionTick = d.getU64();
-    memOpsSinceEagerCheck = d.getU64();
-    pendingOp.gap = d.getU32();
-    pendingOp.isWrite = d.getBool();
-    pendingOp.addr = d.getU64();
-    pendingOp.dependent = d.getBool();
-    havePending = d.getBool();
-    gapLeft = d.getU32();
-    st.deserialize(d);
+    io(d, *this);
+}
+
+template <typename Ar, typename Self>
+void
+CoreStats::io(Ar &ar, Self &self)
+{
+    ar.u64(self.instructions);
+    ar.u64(self.memOps);
+    ar.u64(self.l1Hits);
+    ar.u64(self.l2Hits);
+    ar.u64(self.l3Hits);
+    ar.u64(self.memReads);
+    ar.u64(self.memWrites);
+    ar.u64(self.eagerSubmitted);
+    ar.u64(self.memStallTicks);
+    ar.u64(self.wbStallTicks);
+}
+
+void
+CoreStats::serialize(Serializer &s) const
+{
+    io(s, *this);
+}
+
+void
+CoreStats::deserialize(Deserializer &d)
+{
+    io(d, *this);
 }
 
 } // namespace mct

@@ -76,6 +76,9 @@ struct CoreStats
 
     /** Restore counters written by serialize(). */
     void deserialize(Deserializer &d);
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 class Core;
@@ -207,6 +210,9 @@ class Core
 
     /** Opportunistically push eager-writeback candidates. */
     void maybeCollectEager();
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 } // namespace mct

@@ -954,132 +954,72 @@ MctController::runFor(InstCount insts)
     }
 }
 
+template <typename Ar, typename Self>
+void
+MctController::io(Ar &ar, Self &self)
+{
+    ar.obj(self.det);
+    ar.u8(self.state);
+    ar.obj(self.current);
+    ar.obj(self.baseMetrics);
+    ar.seq(self.history, [&](auto &dec) {
+        ar.obj(dec.config);
+        ar.obj(dec.predicted);
+        ar.flag(dec.feasible);
+        ar.u64(dec.atInstruction);
+    });
+    ar.seq(self.healthLog, [&](auto &h) {
+        ar.u64(h.atInstruction);
+        ar.f64(h.chosenIpc);
+        ar.f64(h.baselineIpc);
+        ar.flag(h.fellBack);
+        ar.u32(h.ladder);
+    });
+    ar.obj(self.samplingAcc);
+    ar.obj(self.testingAcc);
+    ar.u64(self.sinceHealthCheck);
+    ar.u64(self.nResamplings);
+    ar.u64(self.nFallbacks);
+    ar.u64(self.nHealthChecks);
+    ar.u32(self.ladder);
+    ar.flag(self.cooldownActive);
+    ar.u64(self.cooldownUntil);
+    ar.flag(self.emergencyOn);
+    ar.obj(self.lastGoodBase);
+    ar.flag(self.haveGoodBase);
+    ar.seq(self.wearTrail, [&](auto &snap) { ar.obj(snap); });
+    ar.u64(self.nQuarantined);
+    ar.u64(self.nPredRejected);
+    ar.u64(self.nPredCorrupted);
+    ar.u64(self.nRetryRounds);
+    ar.u64(self.nBaseRepairs);
+    ar.u64(self.nResampleEscalations);
+    ar.u64(self.nEmergency);
+    ar.u64(self.nReengage);
+    ar.u64(self.nAlertEscalations);
+    ar.obj(self.openProv_);
+    ar.flag(self.openProvValid_);
+    ar.u64(self.provSeq_);
+    ar.f64(self.cumRegret_);
+    ar.u64(self.nAuditClosed_);
+    ar.u64(self.nAuditDropped_);
+    ar.u64(self.nErrInvalid_);
+    ar.u64(self.nRegretPos_);
+    ar.u64(self.nAttrSnapshots_);
+    for (auto &attr : self.lastAttr_)
+        ar.seq(attr, [&](auto &v) { ar.f64(v); });
+}
+
 void
 MctController::serialize(Serializer &s) const
 {
-    det.serialize(s);
-    s.putU8(static_cast<std::uint8_t>(state));
-    current.serialize(s);
-    baseMetrics.serialize(s);
-    s.putU64(history.size());
-    for (const Decision &dec : history) {
-        dec.config.serialize(s);
-        dec.predicted.serialize(s);
-        s.putBool(dec.feasible);
-        s.putU64(dec.atInstruction);
-    }
-    s.putU64(healthLog.size());
-    for (const HealthRecord &h : healthLog) {
-        s.putU64(h.atInstruction);
-        s.putF64(h.chosenIpc);
-        s.putF64(h.baselineIpc);
-        s.putBool(h.fellBack);
-        s.putU32(h.ladder);
-    }
-    samplingAcc.serialize(s);
-    testingAcc.serialize(s);
-    s.putU64(sinceHealthCheck);
-    s.putU64(nResamplings);
-    s.putU64(nFallbacks);
-    s.putU64(nHealthChecks);
-    s.putU32(ladder);
-    s.putBool(cooldownActive);
-    s.putU64(cooldownUntil);
-    s.putBool(emergencyOn);
-    lastGoodBase.serialize(s);
-    s.putBool(haveGoodBase);
-    s.putU64(wearTrail.size());
-    for (const SysSnapshot &snap : wearTrail)
-        snap.serialize(s);
-    s.putU64(nQuarantined);
-    s.putU64(nPredRejected);
-    s.putU64(nPredCorrupted);
-    s.putU64(nRetryRounds);
-    s.putU64(nBaseRepairs);
-    s.putU64(nResampleEscalations);
-    s.putU64(nEmergency);
-    s.putU64(nReengage);
-    s.putU64(nAlertEscalations);
-    openProv_.serialize(s);
-    s.putBool(openProvValid_);
-    s.putU64(provSeq_);
-    s.putF64(cumRegret_);
-    s.putU64(nAuditClosed_);
-    s.putU64(nAuditDropped_);
-    s.putU64(nErrInvalid_);
-    s.putU64(nRegretPos_);
-    s.putU64(nAttrSnapshots_);
-    for (const ml::Vector &attr : lastAttr_) {
-        s.putU64(attr.size());
-        for (const double v : attr)
-            s.putF64(v);
-    }
+    io(s, *this);
 }
 
 void
 MctController::deserialize(Deserializer &d)
 {
-    det.deserialize(d);
-    state = static_cast<State>(d.getU8());
-    current.deserialize(d);
-    baseMetrics.deserialize(d);
-    history.resize(d.getU64());
-    for (Decision &dec : history) {
-        dec.config.deserialize(d);
-        dec.predicted.deserialize(d);
-        dec.feasible = d.getBool();
-        dec.atInstruction = d.getU64();
-    }
-    healthLog.resize(d.getU64());
-    for (HealthRecord &h : healthLog) {
-        h.atInstruction = d.getU64();
-        h.chosenIpc = d.getF64();
-        h.baselineIpc = d.getF64();
-        h.fellBack = d.getBool();
-        h.ladder = d.getU32();
-    }
-    samplingAcc.deserialize(d);
-    testingAcc.deserialize(d);
-    sinceHealthCheck = d.getU64();
-    nResamplings = d.getU64();
-    nFallbacks = d.getU64();
-    nHealthChecks = d.getU64();
-    ladder = d.getU32();
-    cooldownActive = d.getBool();
-    cooldownUntil = d.getU64();
-    emergencyOn = d.getBool();
-    lastGoodBase.deserialize(d);
-    haveGoodBase = d.getBool();
-    wearTrail.clear();
-    const std::uint64_t nTrail = d.getU64();
-    for (std::uint64_t i = 0; i < nTrail && d.ok(); ++i) {
-        SysSnapshot snap;
-        snap.deserialize(d);
-        wearTrail.push_back(std::move(snap));
-    }
-    nQuarantined = d.getU64();
-    nPredRejected = d.getU64();
-    nPredCorrupted = d.getU64();
-    nRetryRounds = d.getU64();
-    nBaseRepairs = d.getU64();
-    nResampleEscalations = d.getU64();
-    nEmergency = d.getU64();
-    nReengage = d.getU64();
-    nAlertEscalations = d.getU64();
-    openProv_.deserialize(d);
-    openProvValid_ = d.getBool();
-    provSeq_ = d.getU64();
-    cumRegret_ = d.getF64();
-    nAuditClosed_ = d.getU64();
-    nAuditDropped_ = d.getU64();
-    nErrInvalid_ = d.getU64();
-    nRegretPos_ = d.getU64();
-    nAttrSnapshots_ = d.getU64();
-    for (ml::Vector &attr : lastAttr_) {
-        attr.assign(d.getU64(), 0.0);
-        for (double &v : attr)
-            v = d.getF64();
-    }
+    io(d, *this);
 }
 
 } // namespace mct

@@ -478,6 +478,9 @@ class MctController
     /** Track the trailing wear window; engage/release the emergency
      *  clamp when the projected lifetime crosses the floor. */
     void noteWearWindow(const SysSnapshot &after);
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 } // namespace mct

@@ -43,28 +43,27 @@ WindowAccum::add(const SysSnapshot &from, const SysSnapshot &to)
         wearDelta[b] += to.bankWear[b] - from.bankWear[b];
 }
 
+template <typename Ar, typename Self>
+void
+WindowAccum::io(Ar &ar, Self &self)
+{
+    ar.u64(self.time);
+    ar.u64(self.insts);
+    ar.u64(self.reads);
+    ar.f64(self.writeEnergyUnits);
+    ar.seq(self.wearDelta, [&](auto &w) { ar.f64(w); });
+}
+
 void
 WindowAccum::serialize(Serializer &s) const
 {
-    s.putU64(time);
-    s.putU64(insts);
-    s.putU64(reads);
-    s.putF64(writeEnergyUnits);
-    s.putU64(wearDelta.size());
-    for (const double w : wearDelta)
-        s.putF64(w);
+    io(s, *this);
 }
 
 void
 WindowAccum::deserialize(Deserializer &d)
 {
-    time = d.getU64();
-    insts = d.getU64();
-    reads = d.getU64();
-    writeEnergyUnits = d.getF64();
-    wearDelta.assign(d.getU64(), 0.0);
-    for (double &w : wearDelta)
-        w = d.getF64();
+    io(d, *this);
 }
 
 Metrics

@@ -41,6 +41,9 @@ struct WindowAccum
 
     /** Restore a window written by serialize(). */
     void deserialize(Deserializer &d);
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 /** Sampling schedule parameters. */

@@ -52,20 +52,25 @@ PhaseDetector::reset()
     score = 0.0;
 }
 
+template <typename Ar, typename Self>
+void
+PhaseDetector::io(Ar &ar, Self &self)
+{
+    ar.obj(self.history);
+    ar.f64(self.score);
+    ar.u64(self.nPhases);
+}
+
 void
 PhaseDetector::serialize(Serializer &s) const
 {
-    history.serialize(s);
-    s.putF64(score);
-    s.putU64(nPhases);
+    io(s, *this);
 }
 
 void
 PhaseDetector::deserialize(Deserializer &d)
 {
-    history.deserialize(d);
-    score = d.getF64();
-    nPhases = d.getU64();
+    io(d, *this);
 }
 
 } // namespace mct

@@ -87,6 +87,9 @@ class PhaseDetector
     SlidingWindow history;
     double score = 0.0;
     std::uint64_t nPhases = 0;
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 } // namespace mct

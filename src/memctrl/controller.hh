@@ -131,6 +131,9 @@ struct CtrlStats
 
     /** Restore counters written by serialize(). */
     void deserialize(Deserializer &d);
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 /**
@@ -328,6 +331,10 @@ class MemController
 
     /** Recompute the bank masks from the per-bank state. */
     void rebuildBankMasks();
+
+    /** The checkpoint body; the bank masks are rebuilt, not saved. */
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 
     /** Finalize every in-flight op with finish <= t, oldest first. */
     void completeUpTo(Tick t);

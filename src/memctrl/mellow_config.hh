@@ -117,41 +117,28 @@ struct MellowConfig
     bool operator==(const MellowConfig &) const = default;
 
     /** Checkpoint every knob. */
-    void
-    serialize(Serializer &s) const
-    {
-        s.putBool(bankAware);
-        s.putI64(bankAwareThreshold);
-        s.putBool(eagerWritebacks);
-        s.putI64(eagerThreshold);
-        s.putBool(wearQuota);
-        s.putF64(wearQuotaTarget);
-        s.putF64(fastLatency);
-        s.putF64(slowLatency);
-        s.putBool(fastCancellation);
-        s.putBool(slowCancellation);
-        s.putBool(pauseInsteadOfCancel);
-        s.putBool(shortRetentionWrites);
-        s.putBool(fastDisturbingReads);
-    }
+    void serialize(Serializer &s) const { io(s, *this); }
 
     /** Restore a configuration written by serialize(). */
-    void
-    deserialize(Deserializer &d)
+    void deserialize(Deserializer &d) { io(d, *this); }
+
+    template <typename Ar, typename Self>
+    static void
+    io(Ar &ar, Self &self)
     {
-        bankAware = d.getBool();
-        bankAwareThreshold = static_cast<int>(d.getI64());
-        eagerWritebacks = d.getBool();
-        eagerThreshold = static_cast<int>(d.getI64());
-        wearQuota = d.getBool();
-        wearQuotaTarget = d.getF64();
-        fastLatency = d.getF64();
-        slowLatency = d.getF64();
-        fastCancellation = d.getBool();
-        slowCancellation = d.getBool();
-        pauseInsteadOfCancel = d.getBool();
-        shortRetentionWrites = d.getBool();
-        fastDisturbingReads = d.getBool();
+        ar.flag(self.bankAware);
+        ar.i64(self.bankAwareThreshold);
+        ar.flag(self.eagerWritebacks);
+        ar.i64(self.eagerThreshold);
+        ar.flag(self.wearQuota);
+        ar.f64(self.wearQuotaTarget);
+        ar.f64(self.fastLatency);
+        ar.f64(self.slowLatency);
+        ar.flag(self.fastCancellation);
+        ar.flag(self.slowCancellation);
+        ar.flag(self.pauseInsteadOfCancel);
+        ar.flag(self.shortRetentionWrites);
+        ar.flag(self.fastDisturbingReads);
     }
 };
 

@@ -102,38 +102,34 @@ WearQuota::registerStats(StatRegistry &reg,
                  "fault-injected clock multiplier (1 = honest)");
 }
 
+template <typename Ar, typename Self>
+void
+WearQuota::io(Ar &ar, Self &self)
+{
+    ar.u64(self.slice);
+    ar.f64(self.capacity);
+    ar.flag(self.isEnabled);
+    ar.flag(self.isRestricted);
+    ar.u64(self.armTick);
+    ar.f64(self.armWear);
+    ar.u64(self.sliceStart);
+    ar.f64(self.ratePerSec);
+    ar.u64(self.nRestricted);
+    ar.f64(self.skew);
+    ar.f64(self.lastUsedWear);
+    ar.f64(self.lastAllowedWear);
+}
+
 void
 WearQuota::serialize(Serializer &s) const
 {
-    s.putU64(slice);
-    s.putF64(capacity);
-    s.putBool(isEnabled);
-    s.putBool(isRestricted);
-    s.putU64(armTick);
-    s.putF64(armWear);
-    s.putU64(sliceStart);
-    s.putF64(ratePerSec);
-    s.putU64(nRestricted);
-    s.putF64(skew);
-    s.putF64(lastUsedWear);
-    s.putF64(lastAllowedWear);
+    io(s, *this);
 }
 
 void
 WearQuota::deserialize(Deserializer &d)
 {
-    slice = d.getU64();
-    capacity = d.getF64();
-    isEnabled = d.getBool();
-    isRestricted = d.getBool();
-    armTick = d.getU64();
-    armWear = d.getF64();
-    sliceStart = d.getU64();
-    ratePerSec = d.getF64();
-    nRestricted = d.getU64();
-    skew = d.getF64();
-    lastUsedWear = d.getF64();
-    lastAllowedWear = d.getF64();
+    io(d, *this);
 }
 
 } // namespace mct

@@ -115,6 +115,9 @@ class WearQuota
     double lastUsedWear = 0.0;
     double lastAllowedWear = 0.0;
     EventTrace *trace = nullptr;
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 } // namespace mct

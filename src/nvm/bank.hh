@@ -72,39 +72,27 @@ class Bank
     }
 
     /** Checkpoint the full physical state of the bank. */
-    void
-    serialize(Serializer &s) const
-    {
-        s.putU64(busyUntil);
-        s.putI64(openRow);
-        s.putBool(writing);
-        s.putU64(writeStart);
-        s.putF64(writeRatio);
-        s.putF64(wear);
-        s.putU64(reads);
-        s.putU64(rowHits);
-        s.putU64(writes);
-        s.putU64(busyTicks);
-        s.putF64(latencyFactor);
-        s.putF64(wearFactor);
-    }
+    void serialize(Serializer &s) const { io(s, *this); }
 
     /** Restore state written by serialize(). */
-    void
-    deserialize(Deserializer &d)
+    void deserialize(Deserializer &d) { io(d, *this); }
+
+    template <typename Ar, typename Self>
+    static void
+    io(Ar &ar, Self &self)
     {
-        busyUntil = d.getU64();
-        openRow = d.getI64();
-        writing = d.getBool();
-        writeStart = d.getU64();
-        writeRatio = d.getF64();
-        wear = d.getF64();
-        reads = d.getU64();
-        rowHits = d.getU64();
-        writes = d.getU64();
-        busyTicks = d.getU64();
-        latencyFactor = d.getF64();
-        wearFactor = d.getF64();
+        ar.u64(self.busyUntil);
+        ar.i64(self.openRow);
+        ar.flag(self.writing);
+        ar.u64(self.writeStart);
+        ar.f64(self.writeRatio);
+        ar.f64(self.wear);
+        ar.u64(self.reads);
+        ar.u64(self.rowHits);
+        ar.u64(self.writes);
+        ar.u64(self.busyTicks);
+        ar.f64(self.latencyFactor);
+        ar.f64(self.wearFactor);
     }
 };
 

@@ -241,38 +241,35 @@ NvmDevice::registerStats(StatRegistry &reg,
     }
 }
 
+template <typename Ar, typename Self>
+void
+NvmDevice::io(Ar &ar, Self &self)
+{
+    ar.expect(static_cast<std::uint32_t>(self.banks.size()),
+              "checkpoint device bank-count mismatch");
+    for (auto &b : self.banks)
+        ar.obj(b);
+    ar.f64(self.wearTotal);
+    ar.expect(static_cast<std::uint32_t>(self.remappers.size()),
+              "checkpoint device remapper-count mismatch");
+    for (auto &sg : self.remappers)
+        ar.obj(sg);
+    ar.expect(self.rowWear != nullptr,
+              "checkpoint device wear-level mode mismatch");
+    if (self.rowWear)
+        ar.obj(*self.rowWear);
+}
+
 void
 NvmDevice::serialize(Serializer &s) const
 {
-    s.putU32(static_cast<std::uint32_t>(banks.size()));
-    for (const Bank &b : banks)
-        b.serialize(s);
-    s.putF64(wearTotal);
-    s.putU32(static_cast<std::uint32_t>(remappers.size()));
-    for (const StartGap &sg : remappers)
-        sg.serialize(s);
-    s.putBool(rowWear != nullptr);
-    if (rowWear)
-        rowWear->serialize(s);
+    io(s, *this);
 }
 
 void
 NvmDevice::deserialize(Deserializer &d)
 {
-    if (d.getU32() != banks.size())
-        mct_panic("checkpoint device bank-count mismatch");
-    for (Bank &b : banks)
-        b.deserialize(d);
-    wearTotal = d.getF64();
-    if (d.getU32() != remappers.size())
-        mct_panic("checkpoint device remapper-count mismatch");
-    for (StartGap &sg : remappers)
-        sg.deserialize(d);
-    const bool hasRowWear = d.getBool();
-    if (hasRowWear != (rowWear != nullptr))
-        mct_panic("checkpoint device wear-level mode mismatch");
-    if (rowWear)
-        rowWear->deserialize(d);
+    io(d, *this);
 }
 
 } // namespace mct

@@ -149,6 +149,9 @@ class NvmDevice
     double wearTotal = 0.0;
     std::vector<StartGap> remappers;           // StartGap mode
     std::unique_ptr<RowWearTable> rowWear;     // StartGap mode
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 } // namespace mct

@@ -80,56 +80,54 @@ RowWearTable::levelingEfficiency() const
     return avg / worst;
 }
 
+template <typename Ar, typename Self>
+void
+StartGap::io(Ar &ar, Self &self)
+{
+    ar.expect(self.nRows, "checkpoint Start-Gap geometry mismatch");
+    ar.expect(self.period, "checkpoint Start-Gap geometry mismatch");
+    ar.u64(self.gap);
+    ar.u64(self.start);
+    ar.u64(self.sinceMove);
+    ar.u64(self.moves);
+    ar.u64(self.starts);
+}
+
 void
 StartGap::serialize(Serializer &s) const
 {
-    s.putU64(nRows);
-    s.putU64(period);
-    s.putU64(gap);
-    s.putU64(start);
-    s.putU64(sinceMove);
-    s.putU64(moves);
-    s.putU64(starts);
+    io(s, *this);
 }
 
 void
 StartGap::deserialize(Deserializer &d)
 {
-    const std::uint64_t rows = d.getU64();
-    const std::uint64_t per = d.getU64();
-    if (rows != nRows || per != period)
-        mct_panic("checkpoint Start-Gap geometry mismatch");
-    gap = d.getU64();
-    start = d.getU64();
-    sinceMove = d.getU64();
-    moves = d.getU64();
-    starts = d.getU64();
+    io(d, *this);
+}
+
+template <typename Ar, typename Self>
+void
+RowWearTable::io(Ar &ar, Self &self)
+{
+    ar.expect(self.nBanks, "checkpoint row-wear geometry mismatch");
+    ar.expect(self.rowsPerBank, "checkpoint row-wear geometry mismatch");
+    for (auto &cell : self.wear)
+        ar.f64(cell);
+    ar.f64(self.worst);
+    ar.f64(self.sum);
+    ar.u64(self.touched);
 }
 
 void
 RowWearTable::serialize(Serializer &s) const
 {
-    s.putU32(nBanks);
-    s.putU64(rowsPerBank);
-    for (float cell : wear)
-        s.putF64(static_cast<double>(cell));
-    s.putF64(worst);
-    s.putF64(sum);
-    s.putU64(touched);
+    io(s, *this);
 }
 
 void
 RowWearTable::deserialize(Deserializer &d)
 {
-    const unsigned banks = d.getU32();
-    const std::uint64_t rows = d.getU64();
-    if (banks != nBanks || rows != rowsPerBank)
-        mct_panic("checkpoint row-wear geometry mismatch");
-    for (float &cell : wear)
-        cell = static_cast<float>(d.getF64());
-    worst = d.getF64();
-    sum = d.getF64();
-    touched = d.getU64();
+    io(d, *this);
 }
 
 } // namespace mct

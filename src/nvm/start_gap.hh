@@ -79,6 +79,9 @@ class StartGap
     std::uint64_t sinceMove = 0;
     std::uint64_t moves = 0;
     std::uint64_t starts = 0;
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 /**
@@ -120,6 +123,9 @@ class RowWearTable
     double worst = 0.0;
     double sum = 0.0;
     std::uint64_t touched = 0;
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 } // namespace mct

@@ -20,10 +20,13 @@
  * silently mis-replayed. All ckpt.* stats are host-scoped: checkpoint
  * activity never perturbs the deterministic Sim stat surfaces.
  *
- * The payload is a tagless field stream, so every component's
- * serialize/deserialize pair must stay in lockstep — statically
- * enforced by mct_lint's serialize-contract builtin (see
- * docs/static-analysis.md).
+ * The payload is a tagless field stream. Every component describes
+ * its checkpoint state once, in an io() body shared by its serialize
+ * and deserialize (see common/serialize.hh), so the read order
+ * matches the write order by construction; ar.expect() calls carry
+ * the geometry and configuration cross-checks. The CheckpointGolden
+ * tests pin the payload bytes, and any change to them needs
+ * checkpointFormatVersion bumped.
  */
 
 #ifndef MCT_SIM_CHECKPOINT_HH

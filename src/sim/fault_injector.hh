@@ -21,6 +21,7 @@
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -132,8 +133,13 @@ class FaultInjector
     Rng rng;
     const InstCount *clock = nullptr;
     EventTrace *trace = nullptr;
-    std::vector<bool> wasActive;
+    /** Per spec: armed at the last poll. A deque, unlike
+     *  std::vector<bool>, hands out a bool& per flag. */
+    std::deque<bool> wasActive;
     std::array<std::uint64_t, numFaultKinds> nInjected{};
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 
     InstCount instNow() const { return clock ? *clock : 0; }
 

@@ -261,76 +261,77 @@ System::metricsSince(const SysSnapshot &from) const
     return metricsBetween(from, snapshot());
 }
 
+template <typename Ar, typename Self>
+void
+Metrics::io(Ar &ar, Self &self)
+{
+    ar.f64(self.ipc);
+    ar.f64(self.lifetimeYears);
+    ar.f64(self.energyJ);
+}
+
 void
 Metrics::serialize(Serializer &s) const
 {
-    s.putF64(ipc);
-    s.putF64(lifetimeYears);
-    s.putF64(energyJ);
+    io(s, *this);
 }
 
 void
 Metrics::deserialize(Deserializer &d)
 {
-    ipc = d.getF64();
-    lifetimeYears = d.getF64();
-    energyJ = d.getF64();
+    io(d, *this);
+}
+
+template <typename Ar, typename Self>
+void
+SysSnapshot::io(Ar &ar, Self &self)
+{
+    ar.obj(self.core);
+    ar.obj(self.ctrl);
+    ar.u64(self.time);
+    ar.u64(self.instructions);
+    ar.seq(self.bankWear, [&](auto &w) { ar.f64(w); });
 }
 
 void
 SysSnapshot::serialize(Serializer &s) const
 {
-    core.serialize(s);
-    ctrl.serialize(s);
-    s.putU64(time);
-    s.putU64(instructions);
-    s.putU64(bankWear.size());
-    for (const double w : bankWear)
-        s.putF64(w);
+    io(s, *this);
 }
 
 void
 SysSnapshot::deserialize(Deserializer &d)
 {
-    core.deserialize(d);
-    ctrl.deserialize(d);
-    time = d.getU64();
-    instructions = d.getU64();
-    bankWear.assign(d.getU64(), 0.0);
-    for (double &w : bankWear)
-        w = d.getF64();
+    io(d, *this);
+}
+
+template <typename Ar, typename Self>
+void
+System::io(Ar &ar, Self &self)
+{
+    ar.obj(*self.wl_);
+    ar.obj(*self.core_);
+    ar.obj(*self.hier_);
+    ar.obj(*self.ctrl_);
+    ar.obj(*self.dev_);
+    ar.obj(self.trace_);
+    ar.obj(self.spans_);
+    ar.obj(self.prov_);
+    ar.obj(self.timeline_);
+    ar.obj(self.alerts_);
+    ar.obj(self.reg_);
 }
 
 void
 System::serialize(Serializer &s) const
 {
-    wl_->serialize(s);
-    core_->serialize(s);
-    hier_->serialize(s);
-    ctrl_->serialize(s);
-    dev_->serialize(s);
-    trace_.serialize(s);
-    spans_.serialize(s);
-    prov_.serialize(s);
-    timeline_.serialize(s);
-    alerts_.serialize(s);
-    reg_.serializeOwned(s);
+    io(s, *this);
 }
 
 void
 System::deserialize(Deserializer &d)
 {
-    wl_->deserialize(d);
-    core_->deserialize(d);
-    hier_->deserialize(d);
-    ctrl_->deserialize(d);
-    dev_->deserialize(d);
-    trace_.deserialize(d);
-    spans_.deserialize(d);
-    prov_.deserialize(d);
-    timeline_.deserialize(d);
-    alerts_.deserialize(d);
-    reg_.deserializeOwned(d);
+    io(d, *this);
 }
 
 } // namespace mct

@@ -60,6 +60,9 @@ struct Metrics
 
     /** Restore objectives written by serialize(). */
     void deserialize(Deserializer &d);
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 /** A point-in-time capture used to compute window metrics. */
@@ -76,6 +79,9 @@ struct SysSnapshot
 
     /** Restore a capture written by serialize(). */
     void deserialize(Deserializer &d);
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 /**
@@ -273,6 +279,9 @@ class System
 
     /** Register every component under its layer's dotted prefix. */
     void registerAllStats();
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 /** Lifetime of a wear window (helper shared with the multicore sim). */

@@ -105,27 +105,30 @@ TraceWorkload::reset(std::uint64_t)
     nLoops = 0;
 }
 
+template <typename Ar, typename Self>
+void
+TraceWorkload::io(Ar &ar, Self &self)
+{
+    // The operations themselves are reloaded from the trace file; the
+    // count guards against replaying against a different trace.
+    ar.expect(self.ops.size(), "checkpoint trace length mismatch");
+    ar.u64(self.addrBase);
+    ar.u64(self.cursor);
+    if (self.cursor >= self.ops.size()) // only a load can fail this
+        mct_panic("checkpoint trace cursor out of range");
+    ar.u64(self.nLoops);
+}
+
 void
 TraceWorkload::serialize(Serializer &s) const
 {
-    s.putU64(ops.size());
-    s.putU64(addrBase);
-    s.putU64(cursor);
-    s.putU64(nLoops);
+    io(s, *this);
 }
 
 void
 TraceWorkload::deserialize(Deserializer &d)
 {
-    // The operations themselves are reloaded from the trace file; the
-    // count guards against replaying against a different trace.
-    if (d.getU64() != ops.size())
-        mct_panic("checkpoint trace length mismatch");
-    addrBase = d.getU64();
-    cursor = d.getU64();
-    if (cursor >= ops.size())
-        mct_panic("checkpoint trace cursor out of range");
-    nLoops = d.getU64();
+    io(d, *this);
 }
 
 std::vector<WorkloadOp>

@@ -132,38 +132,33 @@ PatternWorkload::next(WorkloadOp &op)
         enterPhase((phaseIdx + 1) % phases.size());
 }
 
+template <typename Ar, typename Self>
+void
+PatternWorkload::io(Ar &ar, Self &self)
+{
+    ar.u64(self.seed0);
+    ar.obj(self.rng);
+    ar.u64(self.addrBase);
+    ar.u64(self.phaseIdx);
+    if (self.phaseIdx >= self.phases.size()) // only a load can fail this
+        mct_panic("checkpoint workload phase out of range");
+    ar.u64(self.instInPhase);
+    ar.u64(self.totalInsts);
+    ar.seq32(self.streamPos, [&](auto &pos) { ar.u64(pos); });
+    ar.flag(self.rmwPending);
+    ar.u64(self.rmwAddr);
+}
+
 void
 PatternWorkload::serialize(Serializer &s) const
 {
-    s.putU64(seed0);
-    rng.serialize(s);
-    s.putU64(addrBase);
-    s.putU64(phaseIdx);
-    s.putU64(instInPhase);
-    s.putU64(totalInsts);
-    s.putU32(static_cast<std::uint32_t>(streamPos.size()));
-    for (std::uint64_t pos : streamPos)
-        s.putU64(pos);
-    s.putBool(rmwPending);
-    s.putU64(rmwAddr);
+    io(s, *this);
 }
 
 void
 PatternWorkload::deserialize(Deserializer &d)
 {
-    seed0 = d.getU64();
-    rng.deserialize(d);
-    addrBase = d.getU64();
-    phaseIdx = d.getU64();
-    if (phaseIdx >= phases.size())
-        mct_panic("checkpoint workload phase out of range");
-    instInPhase = d.getU64();
-    totalInsts = d.getU64();
-    streamPos.assign(d.getU32(), 0);
-    for (std::uint64_t &pos : streamPos)
-        pos = d.getU64();
-    rmwPending = d.getBool();
-    rmwAddr = d.getU64();
+    io(d, *this);
 }
 
 } // namespace mct

@@ -174,6 +174,9 @@ class PatternWorkload : public Workload
     void enterPhase(std::size_t idx);
     const PatternSpec &pat() const { return phases[phaseIdx].pattern; }
     Addr genAddr();
+
+    template <typename Ar, typename Self>
+    static void io(Ar &ar, Self &self);
 };
 
 /** Construct one of the named application models (fatal if unknown). */

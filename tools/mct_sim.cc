@@ -647,34 +647,27 @@ struct DriverState
     InstCount lastCapture = 0; ///< inst of the last periodic capture
     std::vector<PeriodicDelta> periodic;
 
-    void
-    serialize(Serializer &s) const
-    {
-        s.putBool(warmupDone);
-        s0.serialize(s);
-        serializeSnapshot(s, prev);
-        s.putU64(lastCapture);
-        s.putU64(periodic.size());
-        for (const PeriodicDelta &pd : periodic) {
-            s.putU64(pd.inst);
-            serializeSnapshot(s, pd.delta);
-        }
-        s.putU64(jsonNonfiniteCount());
-    }
+    void serialize(Serializer &s) const { io(s, *this); }
+    void deserialize(Deserializer &d) { io(d, *this); }
 
-    void
-    deserialize(Deserializer &d)
+    template <typename Ar, typename Self>
+    static void
+    io(Ar &ar, Self &self)
     {
-        warmupDone = d.getBool();
-        s0.deserialize(d);
-        prev = deserializeSnapshot(d);
-        lastCapture = d.getU64();
-        periodic.resize(d.getU64());
-        for (PeriodicDelta &pd : periodic) {
-            pd.inst = d.getU64();
-            pd.delta = deserializeSnapshot(d);
-        }
-        restoreJsonNonfiniteCount(d.getU64());
+        ar.flag(self.warmupDone);
+        ar.obj(self.s0);
+        snapshotIo(ar, self.prev);
+        ar.u64(self.lastCapture);
+        ar.seq(self.periodic, [&](auto &pd) {
+            ar.u64(pd.inst);
+            snapshotIo(ar, pd.delta);
+        });
+        // The process-wide nonfinite-JSON counter: saved from, and
+        // (loading only) restored into, the JSON writer.
+        std::uint64_t nonfinite = jsonNonfiniteCount();
+        ar.u64(nonfinite);
+        if constexpr (!Ar::saving)
+            restoreJsonNonfiniteCount(nonfinite);
     }
 };
 
