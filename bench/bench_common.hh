@@ -31,13 +31,15 @@ namespace mct::bench
 {
 
 /**
- * Per-process wall-clock stage profiler shared by the bench binaries
- * (trace replay vs. sampling vs. fit vs. optimize, Fig 9 context).
- * The accumulated stage timings are dumped as JSON at exit when a
- * destination was named, either with the --profile-out harness flag
- * (initHarness) or the historical MCT_BENCH_PROFILE env var fallback.
+ * Per-process host profiler shared by the bench binaries, enabled on
+ * the real host clock (trace replay vs. sampling vs. fit vs.
+ * optimize, Fig 9 context). runMct attaches it to its System, so the
+ * controller charges its stages to it as it does under mct_sim. The
+ * mct-host-v1 document is written at exit when a destination was
+ * named, either with the --profile-out harness flag (initHarness) or
+ * the historical MCT_BENCH_PROFILE env var fallback.
  */
-inline WallProfiler &profiler();
+inline HostProfiler &profiler();
 
 namespace detail
 {
@@ -72,22 +74,16 @@ manifestBenchName()
 }
 
 /**
- * Arm the one at-exit manifest dump (idempotent). Must be armed
- * before the profile/summary dumps are registered: std::atexit runs
- * handlers in reverse registration order, and the manifest has to run
- * last so it can checksum the published artifact bytes.
+ * Arm the at-exit manifest dump. Must be armed before the
+ * profile/summary dumps are registered: std::atexit runs handlers in
+ * reverse registration order, and the manifest has to run last so it
+ * can checksum the published artifact bytes.
  */
 inline void
 armManifestDump()
 {
-    static bool armed = false;
-    if (armed)
-        return;
-    armed = true;
     std::atexit(+[] {
         const std::string &path = manifestDumpPath();
-        if (path.empty())
-            return;
         RunManifest m;
         m.mode = "bench";
         m.app = manifestBenchName();
@@ -108,7 +104,7 @@ armManifestDump()
             a.path = manifestRelative(path, artifact);
             m.artifacts.push_back(std::move(a));
         };
-        note("profile", "", profileDumpPath());
+        note("host", "mct-host-v1", profileDumpPath());
         note("bench_summary", "mct-bench-summary-v1",
              summary ? summary : "");
         AtomicFile f(path);
@@ -118,55 +114,36 @@ armManifestDump()
     });
 }
 
-/** Arm the one at-exit profile dump (idempotent). */
+/** Arm the at-exit profile dump. */
 inline void
 armProfileDump()
 {
-    static bool armed = false;
-    if (armed)
-        return;
-    armed = true;
     std::atexit(+[] {
         const std::string &path = profileDumpPath();
-        if (path.empty())
-            return;
         std::ofstream os(path);
         if (os)
-            profiler().writeJson(os);
+            profiler().writeJson(os, "bench", manifestBenchName(), "");
     });
 }
 
 } // namespace detail
 
-inline WallProfiler &
+inline HostProfiler &
 profiler()
 {
-    // Benches that never call initHarness (or are driven by scripts
-    // predating the flags) keep the env-var behavior. Manifest before
-    // profile: reverse atexit order makes the manifest dump run last.
-    static const bool envFallback = [] {
-        if (detail::manifestDumpPath().empty())
-            if (const char *env = std::getenv("MCT_BENCH_MANIFEST"))
-                detail::manifestDumpPath() = env;
-        if (!detail::manifestDumpPath().empty())
-            detail::armManifestDump();
-        if (detail::profileDumpPath().empty())
-            if (const char *env = std::getenv("MCT_BENCH_PROFILE"))
-                detail::profileDumpPath() = env;
-        if (!detail::profileDumpPath().empty())
-            detail::armProfileDump();
-        return true;
+    static HostProfiler &p = *[] {
+        auto *hp = new HostProfiler; // leaked, see detail above
+        hp->enable();
+        return hp;
     }();
-    (void)envFallback;
-    static WallProfiler &p = *new WallProfiler; // leaked, see detail above
     return p;
 }
 
 /**
  * Parse the shared bench harness command line. The flags are
  *
- *   --profile-out FILE   dump the WallProfiler stage timings to FILE
- *                        at exit (JSON; mct_report show --profile)
+ *   --profile-out FILE   write the profiler's mct-host-v1 document to
+ *                        FILE at exit (mct_report show --host)
  *   --manifest-out FILE  write an mct-manifest-v1 run manifest to
  *                        FILE at exit, listing the profile/summary
  *                        artifacts with sizes and FNV-1a checksums
@@ -175,7 +152,7 @@ profiler()
  * which promote the historical MCT_BENCH_PROFILE / MCT_BENCH_MANIFEST
  * env vars; the env vars remain the fallback when a flag is absent.
  * Unknown flags are fatal (exit 2) so a typo cannot silently run an
- * unprofiled bench.
+ * unprofiled bench. Every bench main calls this first.
  */
 inline void
 initHarness(int argc, char **argv)
@@ -208,18 +185,20 @@ initHarness(int argc, char **argv)
         detail::manifestDumpPath() = manifest;
         detail::armManifestDump();
     }
-    if (path.empty())
-        return;
-    detail::profileDumpPath() = path;
-    detail::armProfileDump();
+    if (!path.empty()) {
+        detail::profileDumpPath() = path;
+        detail::armProfileDump();
+    }
+    profiler(); // start the host clocks with the process
 }
 
 /**
  * Machine-readable outcome of a bench binary. Benches record their
  * headline numbers with metric(); when the MCT_BENCH_JSON environment
- * variable names a file, the summary — metrics plus the WallProfiler
- * stage timings — is written there as JSON at exit, in the BENCH_*.json
- * shape the CI perf-smoke job archives and mct_report consumes.
+ * variable names a file, the summary — metrics plus the profiler's
+ * stage wall times — is written there as JSON at exit, in the
+ * BENCH_*.json shape the CI perf-smoke job archives and mct_report
+ * consumes.
  */
 class BenchSummary
 {
@@ -297,10 +276,10 @@ class BenchSummary
         w.endObject();
         w.key("profile").beginObject();
         w.key("stages").beginArray();
-        for (const WallProfiler::Stage &s : profiler().stages()) {
+        for (const HostProfiler::Stage &s : profiler().stages()) {
             w.beginObject();
             w.kv("name", s.name);
-            w.kv("seconds", s.seconds);
+            w.kv("seconds", s.wallSeconds);
             w.kv("calls", s.calls);
             w.endObject();
         }
@@ -335,7 +314,7 @@ inline std::vector<Metrics>
 sweep(SweepCache &cache, const std::string &app,
       const std::vector<MellowConfig> &space)
 {
-    WallProfiler::Scope scope(&profiler(), "sweep");
+    HostProfiler::Scope scope(&profiler(), "sweep");
     return cache.getAll(app, space, true);
 }
 
@@ -408,15 +387,15 @@ runMct(SweepCache &cache, const std::string &app, PredictorKind kind,
 {
     SystemParams sp;
     System sys(app, sp, staticBaselineConfig());
+    sys.attachHostProfiler(&profiler());
     {
-        WallProfiler::Scope scope(&profiler(), "replay");
+        HostProfiler::Scope scope(&profiler(), "replay");
         sys.run(standardEvalParams().warmupInsts);
     }
 
     MctParams mp;
     mp.predictor = kind;
     mp.objective.minLifetimeYears = lifetimeTarget;
-    mp.profiler = &profiler();
     // Scaled-run substitution (MctParams::steadyMeasure): sample
     // objectives come from steady-state evaluations of the same 77
     // configurations, standing in for the paper's long (1B-insn)

@@ -288,35 +288,12 @@ AlertEngine::enable(std::vector<AlertRule> rules,
                   "capacity");
     rules_ = std::move(rules);
     insts_.clear();
-    logRing_.assign(logCapacity, LogEntry{});
-    logCap_ = logCapacity;
-    logHead_ = 0;
-    logHeld_ = 0;
-    logTotal_ = 0;
+    log_.reset(logCapacity);
     windowIdx_ = 0;
     nRaised_ = 0;
     nCleared_ = 0;
     raisedBySev_.fill(0);
     armed_ = true;
-    bound_ = false;
-}
-
-void
-AlertEngine::disable()
-{
-    rules_.clear();
-    insts_.clear();
-    logRing_.clear();
-    logRing_.shrink_to_fit();
-    logCap_ = 0;
-    logHead_ = 0;
-    logHeld_ = 0;
-    logTotal_ = 0;
-    windowIdx_ = 0;
-    nRaised_ = 0;
-    nCleared_ = 0;
-    raisedBySev_.fill(0);
-    armed_ = false;
     bound_ = false;
 }
 
@@ -396,15 +373,6 @@ AlertEngine::bind(const StatSnapshot &delta)
 }
 
 void
-AlertEngine::pushLog(const LogEntry &e)
-{
-    logRing_[logHead_] = e;
-    logHead_ = logHead_ + 1 == logCap_ ? 0 : logHead_ + 1;
-    logHeld_ = std::min(logHeld_ + 1, logCap_);
-    ++logTotal_;
-}
-
-void
 AlertEngine::observe(InstCount inst, const StatSnapshot &delta)
 {
     if (!armed_)
@@ -433,7 +401,7 @@ AlertEngine::observe(InstCount inst, const StatSnapshot &delta)
             e.inst = inst;
             e.value = v;
             e.metric = in.metric;
-            pushLog(e);
+            log_.push() = e;
             if (trace_)
                 trace_->record(
                     TraceEventType::AlertRaised,
@@ -454,7 +422,7 @@ AlertEngine::observe(InstCount inst, const StatSnapshot &delta)
                 e.value = v;
                 e.windowsActive = in.activeFor;
                 e.metric = in.metric;
-                pushLog(e);
+                log_.push() = e;
                 if (trace_)
                     trace_->record(
                         TraceEventType::AlertCleared,
@@ -493,17 +461,6 @@ AlertEngine::raisedBySeverity(AlertSeverity sev) const
     return raisedBySev_[static_cast<std::size_t>(sev)];
 }
 
-std::vector<AlertEngine::LogEntry>
-AlertEngine::log() const
-{
-    std::vector<LogEntry> out;
-    out.reserve(logHeld_);
-    const std::size_t start = logHeld_ == logCap_ ? logHead_ : 0;
-    for (std::size_t i = 0; i < logHeld_; ++i)
-        out.push_back(logRing_[(start + i) % (logCap_ ? logCap_ : 1)]);
-    return out;
-}
-
 void
 AlertEngine::appendFinal(std::map<std::string, double> &fin) const
 {
@@ -523,7 +480,7 @@ AlertEngine::appendFinal(std::map<std::string, double> &fin) const
 void
 AlertEngine::writeJsonl(std::ostream &os) const
 {
-    for (const LogEntry &e : log()) {
+    log_.forEach([&](const LogEntry &e) {
         const AlertRule &r = rules_[e.rule];
         JsonWriter w(os);
         w.beginObject();
@@ -540,7 +497,7 @@ AlertEngine::writeJsonl(std::ostream &os) const
                  static_cast<std::uint64_t>(e.windowsActive));
         w.endObject();
         os << '\n';
-    }
+    });
 }
 
 template <typename Ar, typename Self>
@@ -550,7 +507,8 @@ AlertEngine::io(Ar &ar, Self &self)
     ar.expect(self.armed_, "checkpoint AlertEngine configuration mismatch");
     ar.expect(self.rules_.size(),
               "checkpoint AlertEngine configuration mismatch");
-    ar.expect(self.logCap_, "checkpoint AlertEngine configuration mismatch");
+    ar.expect(self.log_.capacity(),
+              "checkpoint AlertEngine configuration mismatch");
     ar.flag(self.bound_);
     ar.u64(self.windowIdx_);
     ar.u64(self.nRaised_);
@@ -567,10 +525,8 @@ AlertEngine::io(Ar &ar, Self &self)
         ar.u32(in.activeFor);
         ar.flag(in.isActive);
     });
-    ar.u64(self.logHead_);
-    ar.u64(self.logHeld_);
-    ar.u64(self.logTotal_);
-    for (auto &e : self.logRing_) {
+    self.log_.cursors(ar);
+    self.log_.slots([&](auto &e) {
         ar.flag(e.raisedEv);
         ar.u32(e.rule);
         ar.u64(e.window);
@@ -578,7 +534,7 @@ AlertEngine::io(Ar &ar, Self &self)
         ar.f64(e.value);
         ar.u32(e.windowsActive);
         ar.str(e.metric);
-    }
+    });
 }
 
 void

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/instrument.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 
 namespace mct
@@ -134,9 +135,6 @@ class AlertEngine
     void enable(std::vector<AlertRule> rules,
                 std::size_t logCapacity = 4096);
 
-    /** Disarm and release all state. */
-    void disable();
-
     /** True when armed. */
     bool enabled() const { return armed_; }
 
@@ -194,10 +192,10 @@ class AlertEngine
     };
 
     /** Held log entries, oldest first. */
-    std::vector<LogEntry> log() const;
+    std::vector<LogEntry> log() const { return log_.items(); }
 
     /** Log entries overwritten by ring wraparound. */
-    std::uint64_t logDropped() const { return logTotal_ - logHeld_; }
+    std::uint64_t logDropped() const { return log_.dropped(); }
 
     /**
      * Append the alert.* final scalars (counts by severity, raise /
@@ -232,11 +230,7 @@ class AlertEngine
 
     std::vector<AlertRule> rules_;
     std::vector<Inst> insts_;
-    std::vector<LogEntry> logRing_;
-    std::size_t logCap_ = 0;
-    std::size_t logHead_ = 0;
-    std::size_t logHeld_ = 0;
-    std::uint64_t logTotal_ = 0;
+    Ring<LogEntry> log_;
     std::uint64_t windowIdx_ = 0;
     std::uint64_t nRaised_ = 0;
     std::uint64_t nCleared_ = 0;
@@ -251,7 +245,6 @@ class AlertEngine
 
     bool holds(const AlertRule &r, const Inst &in, double v) const;
     void bind(const StatSnapshot &delta);
-    void pushLog(const LogEntry &e);
 
     template <typename Ar, typename Self>
     static void io(Ar &ar, Self &self);

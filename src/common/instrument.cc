@@ -1,6 +1,7 @@
 #include "common/instrument.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <ctime>
@@ -364,72 +365,32 @@ EventTrace::enable(std::size_t capacity)
 {
     if (capacity == 0)
         mct_fatal("EventTrace::enable requires a nonzero capacity");
-    ring.assign(capacity, TraceEvent{});
-    cap = capacity;
-    head = 0;
-    held = 0;
-    total = 0;
-}
-
-void
-EventTrace::disable()
-{
-    ring.clear();
-    ring.shrink_to_fit();
-    cap = 0;
-    head = 0;
-    held = 0;
-    total = 0;
+    ring.reset(capacity);
 }
 
 void
 EventTrace::push(TraceEventType type, double a0, double a1, double a2)
 {
-    TraceEvent &e = ring[head];
+    TraceEvent &e = ring.push();
     e.type = type;
     e.inst = clock ? *clock : 0;
     e.args = {a0, a1, a2};
-    head = head + 1 == cap ? 0 : head + 1;
-    held = std::min(held + 1, cap);
-    ++total;
-}
-
-std::vector<TraceEvent>
-EventTrace::events() const
-{
-    std::vector<TraceEvent> out;
-    out.reserve(held);
-    // Oldest event sits at head when the ring has wrapped.
-    const std::size_t start = held == cap ? head : 0;
-    for (std::size_t i = 0; i < held; ++i)
-        out.push_back(ring[(start + i) % (cap ? cap : 1)]);
-    return out;
 }
 
 std::array<std::uint64_t, numTraceEventTypes>
 EventTrace::countsByType() const
 {
     std::array<std::uint64_t, numTraceEventTypes> counts{};
-    const std::size_t start = held == cap ? head : 0;
-    for (std::size_t i = 0; i < held; ++i) {
-        const TraceEvent &e = ring[(start + i) % (cap ? cap : 1)];
+    ring.forEach([&](const TraceEvent &e) {
         ++counts[static_cast<std::size_t>(e.type)];
-    }
+    });
     return counts;
-}
-
-void
-EventTrace::clear()
-{
-    head = 0;
-    held = 0;
-    total = 0;
 }
 
 void
 EventTrace::writeJsonl(std::ostream &os) const
 {
-    for (const TraceEvent &e : events()) {
+    ring.forEach([&](const TraceEvent &e) {
         JsonWriter w(os);
         const auto names = traceArgNames(e.type);
         w.beginObject();
@@ -439,7 +400,7 @@ EventTrace::writeJsonl(std::ostream &os) const
             w.kv(names[a], e.args[a]);
         w.endObject();
         os << '\n';
-    }
+    });
 }
 
 void
@@ -449,7 +410,7 @@ EventTrace::writeChromeTrace(std::ostream &os) const
     w.beginObject();
     w.kv("displayTimeUnit", "ms");
     w.key("traceEvents").beginArray();
-    for (const TraceEvent &e : events()) {
+    ring.forEach([&](const TraceEvent &e) {
         const auto names = traceArgNames(e.type);
         w.beginObject();
         const char *ph = "i";
@@ -475,7 +436,7 @@ EventTrace::writeChromeTrace(std::ostream &os) const
             w.kv(names[a], e.args[a]);
         w.endObject();
         w.endObject();
-    }
+    });
     w.endArray();
     w.endObject();
     os << '\n';
@@ -536,27 +497,9 @@ SpanTrace::enable(std::uint64_t sampleEvery, std::size_t capacity)
         mct_fatal("SpanTrace::enable requires a nonzero sample period");
     if (capacity == 0)
         mct_fatal("SpanTrace::enable requires a nonzero capacity");
-    ring.assign(capacity, SpanRecord{});
+    ring.reset(capacity);
     open.clear();
     every = sampleEvery;
-    cap = capacity;
-    head = 0;
-    held = 0;
-    total = 0;
-    curValid = false;
-}
-
-void
-SpanTrace::disable()
-{
-    ring.clear();
-    ring.shrink_to_fit();
-    open.clear();
-    every = 0;
-    cap = 0;
-    head = 0;
-    held = 0;
-    total = 0;
     curValid = false;
 }
 
@@ -662,46 +605,16 @@ SpanTrace::end(std::uint64_t id, Tick now, int hitLevel)
             TraceEventType::SpanComplete,
             static_cast<double>(o.rec.end - o.rec.begin) * nsPerTick,
             static_cast<double>(hitLevel), static_cast<double>(stages));
-    push(o.rec);
+    ring.push() = o.rec;
     open.erase(it);
     if (curValid && curId == id)
         curValid = false;
 }
 
 void
-SpanTrace::push(const SpanRecord &rec)
-{
-    ring[head] = rec;
-    head = head + 1 == cap ? 0 : head + 1;
-    held = std::min(held + 1, cap);
-    ++total;
-}
-
-std::vector<SpanRecord>
-SpanTrace::spans() const
-{
-    std::vector<SpanRecord> out;
-    out.reserve(held);
-    const std::size_t start = held == cap ? head : 0;
-    for (std::size_t i = 0; i < held; ++i)
-        out.push_back(ring[(start + i) % (cap ? cap : 1)]);
-    return out;
-}
-
-void
-SpanTrace::clear()
-{
-    open.clear();
-    head = 0;
-    held = 0;
-    total = 0;
-    curValid = false;
-}
-
-void
 SpanTrace::writeJsonl(std::ostream &os) const
 {
-    for (const SpanRecord &r : spans()) {
+    ring.forEach([&](const SpanRecord &r) {
         JsonWriter w(os);
         w.beginObject();
         w.kv("id", r.id);
@@ -724,7 +637,7 @@ SpanTrace::writeJsonl(std::ostream &os) const
         w.endObject();
         w.endObject();
         os << '\n';
-    }
+    });
 }
 
 void
@@ -746,7 +659,7 @@ SpanTrace::writeChromeTrace(std::ostream &os) const
         w.endObject();
         w.endObject();
     }
-    for (const SpanRecord &r : spans()) {
+    ring.forEach([&](const SpanRecord &r) {
         for (std::size_t s = 0; s < numSpanStages; ++s) {
             if (!((r.present >> s) & 1u))
                 continue;
@@ -767,7 +680,7 @@ SpanTrace::writeChromeTrace(std::ostream &os) const
             w.endObject();
             w.endObject();
         }
-    }
+    });
     w.endArray();
     w.endObject();
     os << '\n';
@@ -828,56 +741,19 @@ ProvenanceTrace::enable(std::size_t capacity)
 {
     if (capacity == 0)
         mct_fatal("ProvenanceTrace::enable requires a nonzero capacity");
-    ring.assign(capacity, ProvenanceRecord{});
-    cap = capacity;
-    head = 0;
-    held = 0;
-    total = 0;
-}
-
-void
-ProvenanceTrace::disable()
-{
-    ring.clear();
-    ring.shrink_to_fit();
-    cap = 0;
-    head = 0;
-    held = 0;
-    total = 0;
+    ring.reset(capacity);
 }
 
 void
 ProvenanceTrace::record(const ProvenanceRecord &rec)
 {
-    if (cap == 0)
+    if (ring.capacity() == 0)
         return;
-    ring[head] = rec;
-    head = head + 1 == cap ? 0 : head + 1;
-    held = std::min(held + 1, cap);
-    ++total;
+    ring.push() = rec;
     if (events_)
         events_->record(TraceEventType::DecisionProvenance,
                         static_cast<double>(rec.seq),
                         rec.objectives[0].relError, rec.regret);
-}
-
-std::vector<ProvenanceRecord>
-ProvenanceTrace::records() const
-{
-    std::vector<ProvenanceRecord> out;
-    out.reserve(held);
-    const std::size_t start = held == cap ? head : 0;
-    for (std::size_t i = 0; i < held; ++i)
-        out.push_back(ring[(start + i) % (cap ? cap : 1)]);
-    return out;
-}
-
-void
-ProvenanceTrace::clear()
-{
-    head = 0;
-    held = 0;
-    total = 0;
 }
 
 namespace
@@ -951,11 +827,11 @@ writeProvenanceRecord(JsonWriter &w, const ProvenanceRecord &r)
 void
 ProvenanceTrace::writeJsonl(std::ostream &os) const
 {
-    for (const ProvenanceRecord &r : records()) {
+    ring.forEach([&](const ProvenanceRecord &r) {
         JsonWriter w(os);
         writeProvenanceRecord(w, r);
         os << '\n';
-    }
+    });
 }
 
 void
@@ -974,7 +850,7 @@ ProvenanceTrace::writeChromeTrace(std::ostream &os) const
     w.kv("name", "provenance");
     w.endObject();
     w.endObject();
-    for (const ProvenanceRecord &r : records()) {
+    ring.forEach([&](const ProvenanceRecord &r) {
         w.beginObject();
         w.kv("name", r.configKey);
         w.kv("ph", "X");
@@ -994,7 +870,7 @@ ProvenanceTrace::writeChromeTrace(std::ostream &os) const
         w.kv("regret", r.regret);
         w.endObject();
         w.endObject();
-    }
+    });
     w.endArray();
     w.endObject();
     os << '\n';
@@ -1038,28 +914,9 @@ MetricTimeline::enable(std::vector<std::string> globs,
     if (capacity == 0)
         mct_fatal("MetricTimeline::enable requires a nonzero capacity");
     globs_ = std::move(globs);
-    ring.assign(capacity, Window{});
+    ring.reset(capacity);
     names.clear();
     rollups.clear();
-    cap = capacity;
-    head = 0;
-    held = 0;
-    total = 0;
-    bound_ = false;
-}
-
-void
-MetricTimeline::disable()
-{
-    ring.clear();
-    ring.shrink_to_fit();
-    globs_.clear();
-    names.clear();
-    rollups.clear();
-    cap = 0;
-    head = 0;
-    held = 0;
-    total = 0;
     bound_ = false;
 }
 
@@ -1077,7 +934,7 @@ MetricTimeline::selected(const std::string &path) const
 void
 MetricTimeline::observe(InstCount inst, const StatSnapshot &delta)
 {
-    if (cap == 0)
+    if (ring.capacity() == 0)
         return;
     if (!bound_) {
         // Bind the tracked-metric list from the first window's keys:
@@ -1090,7 +947,7 @@ MetricTimeline::observe(InstCount inst, const StatSnapshot &delta)
         rollups.assign(names.size(), Rollup{});
         bound_ = true;
     }
-    Window &w = ring[head];
+    Window &w = ring.push();
     w.inst = inst;
     w.vals.assign(names.size(), 0.0);
     for (std::size_t i = 0; i < names.size(); ++i) {
@@ -1098,13 +955,10 @@ MetricTimeline::observe(InstCount inst, const StatSnapshot &delta)
         if (it != delta.end())
             w.vals[i] = it->second.num;
     }
-    head = head + 1 == cap ? 0 : head + 1;
-    held = std::min(held + 1, cap);
-    ++total;
     for (std::size_t i = 0; i < names.size(); ++i) {
         Rollup &r = rollups[i];
         const double v = w.vals[i];
-        if (total == 1) {
+        if (ring.recorded() == 1) {
             r.ewma = v;
             r.min = v;
             r.max = v;
@@ -1120,10 +974,8 @@ std::vector<InstCount>
 MetricTimeline::insts() const
 {
     std::vector<InstCount> out;
-    out.reserve(held);
-    const std::size_t start = held == cap ? head : 0;
-    for (std::size_t i = 0; i < held; ++i)
-        out.push_back(ring[(start + i) % (cap ? cap : 1)].inst);
+    out.reserve(ring.size());
+    ring.forEach([&](const Window &w) { out.push_back(w.inst); });
     return out;
 }
 
@@ -1131,27 +983,12 @@ std::vector<double>
 MetricTimeline::series(std::size_t metricIdx) const
 {
     std::vector<double> out;
-    out.reserve(held);
-    const std::size_t start = held == cap ? head : 0;
-    for (std::size_t i = 0; i < held; ++i) {
-        const Window &w = ring[(start + i) % (cap ? cap : 1)];
+    out.reserve(ring.size());
+    ring.forEach([&](const Window &w) {
         out.push_back(metricIdx < w.vals.size() ? w.vals[metricIdx]
                                                 : 0.0);
-    }
+    });
     return out;
-}
-
-void
-MetricTimeline::clear()
-{
-    for (Window &w : ring)
-        w = Window{};
-    names.clear();
-    rollups.clear();
-    head = 0;
-    held = 0;
-    total = 0;
-    bound_ = false;
 }
 
 void
@@ -1167,7 +1004,7 @@ MetricTimeline::writeJson(std::ostream &os, const std::string &mode,
     w.kv("mode", mode);
     w.kv("app", app);
     w.kv("config", config);
-    w.kv("capacity", static_cast<std::uint64_t>(cap));
+    w.kv("capacity", static_cast<std::uint64_t>(ring.capacity()));
     w.key("metrics").beginArray();
     for (const std::string &n : names)
         w.value(n);
@@ -1188,8 +1025,8 @@ MetricTimeline::writeJson(std::ostream &os, const std::string &mode,
     // mct_report's loadSnapshots / diff gate it like any other run
     // document. The std::map keeps key order deterministic.
     std::map<std::string, double> fin = extraFinal;
-    fin["sim.timeline.windows"] = static_cast<double>(held);
-    fin["sim.timeline.recorded"] = static_cast<double>(total);
+    fin["sim.timeline.windows"] = static_cast<double>(ring.size());
+    fin["sim.timeline.recorded"] = static_cast<double>(ring.recorded());
     fin["sim.timeline.dropped"] = static_cast<double>(dropped());
     fin["sim.timeline.metrics"] = static_cast<double>(names.size());
     for (std::size_t m = 0; m < names.size(); ++m) {
@@ -1201,74 +1038,6 @@ MetricTimeline::writeJson(std::ostream &os, const std::string &mode,
     for (const auto &[k, v] : fin)
         w.kv(k, v);
     w.endObject();
-    w.endObject();
-    os << '\n';
-}
-
-// --------------------------------------------------------------------
-// WallProfiler
-// --------------------------------------------------------------------
-
-void
-WallProfiler::begin(const std::string &stage)
-{
-    auto [it, isNew] = cells.try_emplace(stage);
-    if (isNew)
-        order.push_back(stage);
-    Cell &c = it->second;
-    if (c.open)
-        mct_panic("WallProfiler stage '", stage, "' begun twice");
-    c.open = true;
-    c.start = std::chrono::steady_clock::now();
-}
-
-void
-WallProfiler::end(const std::string &stage)
-{
-    const auto it = cells.find(stage);
-    if (it == cells.end() || !it->second.open)
-        mct_panic("WallProfiler stage '", stage, "' ended but not begun");
-    Cell &c = it->second;
-    c.open = false;
-    ++c.calls;
-    c.seconds += std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - c.start)
-                     .count();
-}
-
-std::vector<WallProfiler::Stage>
-WallProfiler::stages() const
-{
-    std::vector<Stage> out;
-    out.reserve(order.size());
-    for (const std::string &name : order) {
-        const Cell &c = cells.at(name);
-        out.push_back({name, c.seconds, c.calls});
-    }
-    return out;
-}
-
-double
-WallProfiler::seconds(const std::string &stage) const
-{
-    const auto it = cells.find(stage);
-    return it == cells.end() ? 0.0 : it->second.seconds;
-}
-
-void
-WallProfiler::writeJson(std::ostream &os) const
-{
-    JsonWriter w(os);
-    w.beginObject();
-    w.key("stages").beginArray();
-    for (const Stage &s : stages()) {
-        w.beginObject();
-        w.kv("name", s.name);
-        w.kv("seconds", s.seconds);
-        w.kv("calls", s.calls);
-        w.endObject();
-    }
-    w.endArray();
     w.endObject();
     os << '\n';
 }
@@ -1350,7 +1119,9 @@ HostClock::procStatus() const
 void
 HostProfiler::enable(const HostClock *clock, std::size_t timelineCap)
 {
-    static const HostClock realClock;
+    // Never destroyed: the bench harness writes its profile from an
+    // atexit handler, which may run after function-local statics die.
+    static const HostClock &realClock = *new HostClock;
     clock_ = clock ? clock : &realClock;
     epochWallNs_ = clock_->wallNs();
     epochCpuNs_ = clock_->cpuNs();
@@ -1703,16 +1474,15 @@ template <typename Ar, typename Self>
 void
 EventTrace::io(Ar &ar, Self &self)
 {
-    ar.expect(self.cap, "checkpoint EventTrace capacity mismatch");
-    ar.u64(self.head);
-    ar.u64(self.held);
-    ar.u64(self.total);
-    for (auto &e : self.ring) {
+    ar.expect(self.ring.capacity(),
+              "checkpoint EventTrace capacity mismatch");
+    self.ring.cursors(ar);
+    self.ring.slots([&](auto &e) {
         ar.u8(e.type);
         ar.u64(e.inst);
         for (auto &a : e.args)
             ar.f64(a);
-    }
+    });
 }
 
 void
@@ -1755,14 +1525,12 @@ void
 SpanTrace::io(Ar &ar, Self &self)
 {
     ar.expect(self.every, "checkpoint SpanTrace configuration mismatch");
-    ar.expect(self.cap, "checkpoint SpanTrace configuration mismatch");
-    ar.u64(self.head);
-    ar.u64(self.held);
-    ar.u64(self.total);
+    ar.expect(self.ring.capacity(),
+              "checkpoint SpanTrace configuration mismatch");
+    self.ring.cursors(ar);
     ar.u64(self.curId);
     ar.flag(self.curValid);
-    for (auto &r : self.ring)
-        spanRecordIo(ar, r);
+    self.ring.slots([&](auto &r) { spanRecordIo(ar, r); });
     ar.seq(self.open, [&](auto &kv) {
         ar.u64(kv.first);
         spanRecordIo(ar, kv.second.rec);
@@ -1836,12 +1604,10 @@ template <typename Ar, typename Self>
 void
 ProvenanceTrace::io(Ar &ar, Self &self)
 {
-    ar.expect(self.cap, "checkpoint ProvenanceTrace capacity mismatch");
-    ar.u64(self.head);
-    ar.u64(self.held);
-    ar.u64(self.total);
-    for (auto &r : self.ring)
-        ar.obj(r);
+    ar.expect(self.ring.capacity(),
+              "checkpoint ProvenanceTrace capacity mismatch");
+    self.ring.cursors(ar);
+    self.ring.slots([&](auto &r) { ar.obj(r); });
 }
 
 void
@@ -1860,10 +1626,9 @@ template <typename Ar, typename Self>
 void
 MetricTimeline::io(Ar &ar, Self &self)
 {
-    ar.expect(self.cap, "checkpoint MetricTimeline capacity mismatch");
-    ar.u64(self.head);
-    ar.u64(self.held);
-    ar.u64(self.total);
+    ar.expect(self.ring.capacity(),
+              "checkpoint MetricTimeline capacity mismatch");
+    self.ring.cursors(ar);
     ar.flag(self.bound_);
     ar.seq(self.names, [&](auto &n) { ar.str(n); });
     // Loading only: there is one rollup per name, written without a
@@ -1875,10 +1640,10 @@ MetricTimeline::io(Ar &ar, Self &self)
         ar.f64(r.min);
         ar.f64(r.max);
     }
-    for (auto &w : self.ring) {
+    self.ring.slots([&](auto &w) {
         ar.u64(w.inst);
         ar.seq(w.vals, [&](auto &v) { ar.f64(v); });
-    }
+    });
 }
 
 void

@@ -24,18 +24,19 @@
  * request id carries a per-stage span record (L1 probe through NVM
  * device) into a fixed-capacity ring, feeding latency-attribution
  * histograms and JSONL / Chrome trace output. Disabled, every hook is
- * a single branch.
+ * a single branch. ProvenanceTrace and MetricTimeline keep decision
+ * records and metric windows the same way; each of these logs is a
+ * Ring (common/ring.hh).
  *
- * WallProfiler is the only knowingly non-deterministic piece: it
- * accumulates real elapsed time per named stage for the bench
- * harnesses' self-profiling, and is never fed into simulated state.
+ * HostProfiler is the only knowingly non-deterministic piece: it
+ * accumulates host wall and CPU time per named stage for mct_sim and
+ * the bench harnesses, and is never fed into simulated state.
  */
 
 #ifndef MCT_COMMON_INSTRUMENT_HH
 #define MCT_COMMON_INSTRUMENT_HH
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -44,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/types.hh"
 
 namespace mct
@@ -350,11 +352,8 @@ class EventTrace
     /** Allocate @p capacity slots and start recording. */
     void enable(std::size_t capacity);
 
-    /** Stop recording and release storage. */
-    void disable();
-
     /** True when recording. */
-    bool enabled() const { return cap != 0; }
+    bool enabled() const { return ring.capacity() != 0; }
 
     /**
      * Point the instruction clock at a live counter (the core's
@@ -368,31 +367,28 @@ class EventTrace
     record(TraceEventType type, double a0 = 0.0, double a1 = 0.0,
            double a2 = 0.0)
     {
-        if (cap == 0)
+        if (ring.capacity() == 0)
             return;
         push(type, a0, a1, a2);
     }
 
     /** Events currently held (<= capacity). */
-    std::size_t size() const { return held; }
+    std::size_t size() const { return ring.size(); }
 
     /** Events ever recorded. */
-    std::uint64_t recorded() const { return total; }
+    std::uint64_t recorded() const { return ring.recorded(); }
 
     /** Events overwritten by ring wraparound. */
-    std::uint64_t dropped() const { return total - held; }
+    std::uint64_t dropped() const { return ring.dropped(); }
 
     /** Buffer capacity (0 when disabled). */
-    std::size_t capacity() const { return cap; }
+    std::size_t capacity() const { return ring.capacity(); }
 
     /** Held events, oldest first. */
-    std::vector<TraceEvent> events() const;
+    std::vector<TraceEvent> events() const { return ring.items(); }
 
     /** Count of held events per type. */
     std::array<std::uint64_t, numTraceEventTypes> countsByType() const;
-
-    /** Forget held events (capacity and clock are kept). */
-    void clear();
 
     /** One JSON object per line: {"ev","inst",<named args>}. */
     void writeJsonl(std::ostream &os) const;
@@ -413,11 +409,7 @@ class EventTrace
     void deserialize(Deserializer &d);
 
   private:
-    std::vector<TraceEvent> ring;
-    std::size_t cap = 0;
-    std::size_t head = 0; ///< next slot to write
-    std::size_t held = 0;
-    std::uint64_t total = 0;
+    Ring<TraceEvent> ring;
     const InstCount *clock = nullptr;
 
     void push(TraceEventType type, double a0, double a1, double a2);
@@ -493,9 +485,6 @@ class SpanTrace
     /** Sample every @p sampleEvery-th request; ring of @p capacity. */
     void enable(std::uint64_t sampleEvery, std::size_t capacity);
 
-    /** Stop sampling and release storage. */
-    void disable();
-
     /** True when sampling. */
     bool enabled() const { return every != 0; }
 
@@ -544,22 +533,16 @@ class SpanTrace
     void end(std::uint64_t id, Tick now, int hitLevel);
 
     /** Completed spans currently held (<= capacity). */
-    std::size_t size() const { return held; }
+    std::size_t size() const { return ring.size(); }
 
     /** Spans ever completed. */
-    std::uint64_t recorded() const { return total; }
+    std::uint64_t recorded() const { return ring.recorded(); }
 
     /** Completed spans overwritten by ring wraparound. */
-    std::uint64_t dropped() const { return total - held; }
+    std::uint64_t dropped() const { return ring.dropped(); }
 
     /** Ring capacity (0 when disabled). */
-    std::size_t capacity() const { return cap; }
-
-    /** Held spans, oldest first. */
-    std::vector<SpanRecord> spans() const;
-
-    /** Forget held spans (capacity, clock and sinks are kept). */
-    void clear();
+    std::size_t capacity() const { return ring.capacity(); }
 
     /** One JSON object per line, integer fields only (see docs). */
     void writeJsonl(std::ostream &os) const;
@@ -589,21 +572,15 @@ class SpanTrace
         std::uint8_t openBits = 0; ///< stages begun but not yet closed
     };
 
-    std::vector<SpanRecord> ring;
+    Ring<SpanRecord> ring;
     std::map<std::uint64_t, OpenSpan> open;
     std::uint64_t every = 0;
-    std::size_t cap = 0;
-    std::size_t head = 0;
-    std::size_t held = 0;
-    std::uint64_t total = 0;
     std::uint64_t curId = 0; ///< span the latest begin() opened
     bool curValid = false;
     std::array<LogHistogram *, numSpanStages> stageHist{};
     LogHistogram *totalHist = nullptr;
     EventTrace *events_ = nullptr;
     const InstCount *clock = nullptr;
-
-    void push(const SpanRecord &rec);
 
     template <typename Ar, typename Self>
     static void io(Ar &ar, Self &self);
@@ -729,11 +706,8 @@ class ProvenanceTrace
     /** Allocate a ring of @p capacity records and start recording. */
     void enable(std::size_t capacity);
 
-    /** Stop recording and release storage. */
-    void disable();
-
     /** True when recording. */
-    bool enabled() const { return cap != 0; }
+    bool enabled() const { return ring.capacity() != 0; }
 
     /** Emit a DecisionProvenance event into @p t per closed record. */
     void attachTrace(EventTrace *t) { events_ = t; }
@@ -742,22 +716,19 @@ class ProvenanceTrace
     void record(const ProvenanceRecord &rec);
 
     /** Records currently held (<= capacity). */
-    std::size_t size() const { return held; }
+    std::size_t size() const { return ring.size(); }
 
     /** Records ever recorded. */
-    std::uint64_t recorded() const { return total; }
+    std::uint64_t recorded() const { return ring.recorded(); }
 
     /** Records overwritten by ring wraparound. */
-    std::uint64_t dropped() const { return total - held; }
+    std::uint64_t dropped() const { return ring.dropped(); }
 
     /** Ring capacity (0 when disabled). */
-    std::size_t capacity() const { return cap; }
+    std::size_t capacity() const { return ring.capacity(); }
 
     /** Held records, oldest first. */
-    std::vector<ProvenanceRecord> records() const;
-
-    /** Forget held records (capacity and sinks are kept). */
-    void clear();
+    std::vector<ProvenanceRecord> records() const { return ring.items(); }
 
     /** One JSON object per line (see docs/observability.md). */
     void writeJsonl(std::ostream &os) const;
@@ -777,11 +748,7 @@ class ProvenanceTrace
     void deserialize(Deserializer &d);
 
   private:
-    std::vector<ProvenanceRecord> ring;
-    std::size_t cap = 0;
-    std::size_t head = 0;
-    std::size_t held = 0;
-    std::uint64_t total = 0;
+    Ring<ProvenanceRecord> ring;
     EventTrace *events_ = nullptr;
 
     template <typename Ar, typename Self>
@@ -831,17 +798,11 @@ class MetricTimeline
      *  windows. An empty glob list tracks everything. */
     void enable(std::vector<std::string> globs, std::size_t capacity);
 
-    /** Stop collecting and release storage. */
-    void disable();
-
     /** True when collecting. */
-    bool enabled() const { return cap != 0; }
+    bool enabled() const { return ring.capacity() != 0; }
 
     /** True once the metric list has been bound (first observe()). */
     bool bound() const { return bound_; }
-
-    /** The enable()-time metric globs. */
-    const std::vector<std::string> &globs() const { return globs_; }
 
     /** Bound metric paths, sorted (empty before the first window). */
     const std::vector<std::string> &metrics() const { return names; }
@@ -850,16 +811,16 @@ class MetricTimeline
     void observe(InstCount inst, const StatSnapshot &delta);
 
     /** Windows currently held (<= capacity). */
-    std::size_t size() const { return held; }
+    std::size_t size() const { return ring.size(); }
 
     /** Windows ever observed. */
-    std::uint64_t recorded() const { return total; }
+    std::uint64_t recorded() const { return ring.recorded(); }
 
     /** Windows overwritten by ring wraparound. */
-    std::uint64_t dropped() const { return total - held; }
+    std::uint64_t dropped() const { return ring.dropped(); }
 
     /** Ring capacity in windows (0 when disabled). */
-    std::size_t capacity() const { return cap; }
+    std::size_t capacity() const { return ring.capacity(); }
 
     /** Instruction clock of each held window, oldest first. */
     std::vector<InstCount> insts() const;
@@ -880,9 +841,6 @@ class MetricTimeline
     {
         return rollups[metricIdx];
     }
-
-    /** Forget windows, binding, and rollups (config is kept). */
-    void clear();
 
     /**
      * The timeline body of the mct-timeline-v1 document: bound
@@ -913,84 +871,14 @@ class MetricTimeline
 
     std::vector<std::string> globs_;
     std::vector<std::string> names; ///< bound metric paths, sorted
-    std::vector<Window> ring;
+    Ring<Window> ring;
     std::vector<Rollup> rollups;
-    std::size_t cap = 0;
-    std::size_t head = 0; ///< next slot to write
-    std::size_t held = 0;
-    std::uint64_t total = 0;
     bool bound_ = false;
 
     bool selected(const std::string &path) const;
 
     template <typename Ar, typename Self>
     static void io(Ar &ar, Self &self);
-};
-
-/**
- * Wall-clock profiler for the bench harness: accumulates real elapsed
- * seconds per named stage (trace replay, sampling, fit, optimize...).
- * Stages may nest and repeat; begin/end pairs per name must balance.
- */
-class WallProfiler
-{
-  public:
-    /** Start (or resume) a stage. */
-    void begin(const std::string &stage);
-
-    /** Stop a stage and accumulate its elapsed time. */
-    void end(const std::string &stage);
-
-    /** RAII stage guard. */
-    class Scope
-    {
-      public:
-        Scope(WallProfiler *profiler, const char *stage)
-            : p(profiler), name(stage)
-        {
-            if (p)
-                p->begin(name);
-        }
-        ~Scope()
-        {
-            if (p)
-                p->end(name);
-        }
-        Scope(const Scope &) = delete;
-        Scope &operator=(const Scope &) = delete;
-
-      private:
-        WallProfiler *p;
-        const char *name;
-    };
-
-    struct Stage
-    {
-        std::string name;
-        double seconds = 0.0;
-        std::uint64_t calls = 0;
-    };
-
-    /** All stages, in first-use order. */
-    std::vector<Stage> stages() const;
-
-    /** Accumulated seconds of one stage (0 when absent). */
-    double seconds(const std::string &stage) const;
-
-    /** {"stages":[{"name","seconds","calls"}...]} */
-    void writeJson(std::ostream &os) const;
-
-  private:
-    struct Cell
-    {
-        double seconds = 0.0;
-        std::uint64_t calls = 0;
-        std::chrono::steady_clock::time_point start{};
-        bool open = false;
-    };
-
-    std::map<std::string, Cell> cells;
-    std::vector<std::string> order;
 };
 
 /** Process memory telemetry parsed from /proc/self/status. */

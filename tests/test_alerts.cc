@@ -182,14 +182,7 @@ AlertRule
 rule(AlertCondition cond, double threshold, std::uint32_t windows = 1,
      AlertSeverity sev = AlertSeverity::Warn)
 {
-    AlertRule r;
-    r.name = "r";
-    r.glob = "m.*";
-    r.cond = cond;
-    r.threshold = threshold;
-    r.windows = windows;
-    r.severity = sev;
-    return r;
+    return AlertRule{"r", "m.*", cond, threshold, windows, sev};
 }
 
 /** Feed @p series one window at a time; return active() after each. */

@@ -189,7 +189,7 @@ TEST(Quadratic, TenToSixtyFive)
     // The paper: 10 inputs expand to 65 quadratic features.
     std::vector<std::string> names(10);
     for (int i = 0; i < 10; ++i)
-        names[i] = "x" + std::to_string(i);
+        names[i] = std::string("x").append(std::to_string(i));
     QuadraticFeatureMap qmap(names);
     EXPECT_EQ(qmap.outputDim(), 65u);
 }

@@ -4,21 +4,22 @@
  *
  * Usage:
  *   mct_report show --stats-json FILE [--spans FILE] [--profile FILE]
- *                   [--windows N]
+ *                   [--host FILE] [--windows N]
  *   mct_report explain [RUN.json] --provenance FILE [--decisions N]
  *   mct_report diff --base FILE --new FILE [--thresholds FILE]
  *                   [--out BENCH_report.json]
  *   mct_report aggregate MANIFEST [MANIFEST ...] [--group-by FIELD]
  *                   [--with-host] [--outlier-k K] [--no-verify]
  *                   [--out FLEET.json]
- *   mct_report perf --host FILE [--base FILE]
- *                   [--thresholds FILE] [--out FILE]
  *   mct_report timeline --timeline FILE [--alerts FILE]
  *                   [--windows N]
  *
  * `show` renders one run: objectives, the lat.* latency-attribution
  * breakdown with p50/p90/p99, per-window tables, event counts, and
- * optional span/WallProfiler summaries.
+ * optional span and stage-timing summaries. --host renders an
+ * mct-host-v1 document (mct_sim --host-profile-out, or a bench
+ * harness --profile-out): sim.mips throughput, wall/CPU seconds, RSS
+ * high-water, and the per-stage host attribution table.
  *
  * `explain` renders the decision audit from a --provenance-out JSONL
  * stream: per decision the predicted vs realized objectives with the
@@ -58,13 +59,6 @@
  * document. The output is byte-identical for any ordering of the
  * MANIFEST arguments.
  *
- * `perf` renders the host-telemetry document an mct_sim
- * --host-profile-out run writes: sim.mips throughput, wall/CPU
- * seconds, RSS high-water, and the per-stage host attribution table.
- * With --base the run is gated against a pinned baseline exactly
- * like diff. Multi-run noise damping goes through `aggregate` on the
- * runs' manifests (CI gates the mean of three runs).
- *
  * Exit codes: 0 clean, 1 at least one regression, 2 usage error,
  * 3 unreadable or malformed input (including "integrity error:"
  * checksum failures from `aggregate`). `show` uses 0, 2 and 3.
@@ -102,8 +96,6 @@ usage()
         "                       [--group-by FIELD] [--with-host]\n"
         "                       [--outlier-k K] [--no-verify]\n"
         "                       [--out FLEET.json]\n"
-        "       mct_report perf --host FILE [--base FILE]\n"
-        "                       [--thresholds FILE] [--out FILE]\n"
         "       mct_report timeline --timeline FILE [--alerts FILE]\n"
         "                       [--windows N]\n");
     return 2;
@@ -192,96 +184,6 @@ cmdShow(int argc, char **argv)
         renderHostSummary(std::cout, host, prof);
     }
     return 0;
-}
-
-/**
- * perf: render (and optionally gate) one host-telemetry document;
- * with --base it is diffed against a pinned baseline through the
- * thresholds rules (sim.mips, direction higher). Exit 1 on
- * regression, mirroring diff. Multi-run damping lives in
- * `aggregate` (the mean over the runs' manifests), not here.
- */
-int
-cmdPerf(int argc, char **argv)
-{
-    std::string hostPath, basePath, thresholdsPath, outPath;
-    for (int i = 2; i < argc; ++i) {
-        std::string v;
-        if (!std::strcmp(argv[i], "--host")) {
-            if (!flagValue(argc, argv, i, v))
-                return 2;
-            if (!hostPath.empty()) {
-                std::fprintf(stderr,
-                             "repeated --host: use mct_report "
-                             "aggregate for multi-run rollups\n");
-                return usage();
-            }
-            hostPath = v;
-        } else if (!std::strcmp(argv[i], "--base")) {
-            if (!flagValue(argc, argv, i, basePath))
-                return 2;
-        } else if (!std::strcmp(argv[i], "--thresholds")) {
-            if (!flagValue(argc, argv, i, thresholdsPath))
-                return 2;
-        } else if (!std::strcmp(argv[i], "--out")) {
-            if (!flagValue(argc, argv, i, outPath))
-                return 2;
-        } else {
-            std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
-            return usage();
-        }
-    }
-    if (hostPath.empty())
-        return usage();
-
-    std::string err;
-    RunData cur;
-    Profile prof;
-    if (!loadSnapshots(hostPath, cur, err) ||
-        !loadProfile(hostPath, prof, err)) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 3;
-    }
-    renderHostSummary(std::cout, cur, prof);
-    if (basePath.empty())
-        return 0;
-
-    Thresholds th;
-    if (thresholdsPath.empty()) {
-        if (!parseThresholds(defaultThresholdsText(), th, err)) {
-            std::fprintf(stderr, "internal: bad default thresholds: "
-                                 "%s\n",
-                         err.c_str());
-            return 3;
-        }
-    } else if (!loadThresholds(thresholdsPath, th, err)) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 3;
-    }
-    RunData base;
-    if (!loadSnapshots(basePath, base, err)) {
-        std::fprintf(stderr, "error: %s\n", err.c_str());
-        return 3;
-    }
-    const DiffReport rep = diffRuns(base, cur, th);
-    std::cout << "\n";
-    renderDiff(std::cout, base, cur, rep);
-    if (rep.checks.empty()) {
-        std::fprintf(stderr,
-                     "error: no metric matched any threshold rule\n");
-        return 3;
-    }
-    if (!outPath.empty()) {
-        mct::AtomicFile f(outPath);
-        writeBenchReport(f.stream(), base, cur, rep);
-        if (!f.commit()) {
-            std::fprintf(stderr, "error: cannot write '%s'\n",
-                         outPath.c_str());
-            return 3;
-        }
-        std::printf("report written to %s\n", outPath.c_str());
-    }
-    return rep.regressions ? 1 : 0;
 }
 
 /**
@@ -543,8 +445,6 @@ main(int argc, char **argv)
         return cmdDiff(argc, argv);
     if (!std::strcmp(argv[1], "aggregate"))
         return cmdAggregate(argc, argv);
-    if (!std::strcmp(argv[1], "perf"))
-        return cmdPerf(argc, argv);
     if (!std::strcmp(argv[1], "timeline"))
         return cmdTimeline(argc, argv);
     std::fprintf(stderr, "unknown command '%s'\n", argv[1]);
