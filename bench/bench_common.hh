@@ -35,9 +35,8 @@ namespace mct::bench
  * the real host clock (trace replay vs. sampling vs. fit vs.
  * optimize, Fig 9 context). runMct attaches it to its System, so the
  * controller charges its stages to it as it does under mct_sim. The
- * mct-host-v1 document is written at exit when a destination was
- * named, either with the --profile-out harness flag (initHarness) or
- * the historical MCT_BENCH_PROFILE env var fallback.
+ * mct-host-v1 document is written at exit when the --profile-out
+ * harness flag (initHarness) named a destination.
  */
 inline HostProfiler &profiler();
 
@@ -65,11 +64,11 @@ manifestDumpPath()
     return path;
 }
 
-/** Bench name for the manifest ("?" until BenchSummary::start). */
+/** Bench name for the manifest and profile (set by initHarness). */
 inline std::string &
-manifestBenchName()
+benchName()
 {
-    static std::string &name = *new std::string("?");
+    static std::string &name = *new std::string;
     return name;
 }
 
@@ -86,7 +85,7 @@ armManifestDump()
         const std::string &path = manifestDumpPath();
         RunManifest m;
         m.mode = "bench";
-        m.app = manifestBenchName();
+        m.app = benchName();
         const char *summary = std::getenv("MCT_BENCH_JSON");
         m.fingerprint = "mct-bench-fp-v1;bench=" + m.app +
                         ";profile=" + profileDumpPath() +
@@ -122,7 +121,7 @@ armProfileDump()
         const std::string &path = profileDumpPath();
         std::ofstream os(path);
         if (os)
-            profiler().writeJson(os, "bench", manifestBenchName(), "");
+            profiler().writeJson(os, "bench", benchName(), "");
     });
 }
 
@@ -149,14 +148,15 @@ profiler()
  *                        artifacts with sizes and FNV-1a checksums
  *                        (docs/observability.md; mct_report aggregate)
  *
- * which promote the historical MCT_BENCH_PROFILE / MCT_BENCH_MANIFEST
- * env vars; the env vars remain the fallback when a flag is absent.
  * Unknown flags are fatal (exit 2) so a typo cannot silently run an
- * unprofiled bench. Every bench main calls this first.
+ * unprofiled bench. The basename of argv[0] names the bench in its
+ * manifest, profile and summary. Every bench main calls this first.
  */
 inline void
 initHarness(int argc, char **argv)
 {
+    const std::string self = argv[0];
+    detail::benchName() = self.substr(self.rfind('/') + 1);
     std::string path;
     std::string manifest;
     for (int i = 1; i < argc; ++i) {
@@ -173,12 +173,6 @@ initHarness(int argc, char **argv)
             std::exit(2);
         }
     }
-    if (path.empty())
-        if (const char *env = std::getenv("MCT_BENCH_PROFILE"))
-            path = env;
-    if (manifest.empty())
-        if (const char *env = std::getenv("MCT_BENCH_MANIFEST"))
-            manifest = env;
     if (!manifest.empty()) {
         // Armed first: atexit runs in reverse order, so the manifest
         // dump then runs after the artifacts it checksums are final.
@@ -210,12 +204,10 @@ class BenchSummary
         return s;
     }
 
-    /** Name the bench (once, near banner()). Arms the at-exit dump. */
+    /** Arm the at-exit dump (once, near banner()). */
     void
-    start(const std::string &benchName)
+    start()
     {
-        name = benchName;
-        detail::manifestBenchName() = benchName;
         static const bool armed = [] {
             if (!std::getenv("MCT_BENCH_JSON"))
                 return false;
@@ -269,7 +261,7 @@ class BenchSummary
         JsonWriter w(os);
         w.beginObject();
         w.kv("schema", "mct-bench-summary-v1");
-        w.kv("bench", name);
+        w.kv("bench", detail::benchName());
         w.key("metrics").beginObject();
         for (const auto &[k, v] : metrics)
             w.kv(k, v);
@@ -290,7 +282,6 @@ class BenchSummary
     }
 
   private:
-    std::string name = "?";
     std::vector<std::pair<std::string, double>> metrics;
 };
 

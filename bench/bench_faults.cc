@@ -73,7 +73,7 @@ main(int argc, char **argv)
 
     banner("Robustness: live MCT runtime under built-in fault plans "
            "(" + app + ", 4M insts)");
-    BenchSummary::instance().start("bench_faults");
+    BenchSummary::instance().start();
 
     TextTable t;
     t.header({"plan", "injected", "IPC", "life(y)", "quarant",

@@ -45,7 +45,7 @@ main(int argc, char **argv)
 {
     initHarness(argc, argv);
     banner("Table 1 (measured): trade-offs of NVM and their impacts");
-    BenchSummary::instance().start("bench_table1_tradeoffs");
+    BenchSummary::instance().start();
 
     MellowConfig wcOff;
     wcOff.bankAware = true;

@@ -56,7 +56,7 @@ int
 main(int argc, char **argv)
 {
     initHarness(argc, argv);
-    BenchSummary::instance().start("bench_table7_fig2_models");
+    BenchSummary::instance().start();
     SweepCache cache = openCache();
     const auto space = enumerateNoQuotaSpace();
     const auto &apps = workloadNames();

@@ -32,11 +32,14 @@ mct_add_bench(bench_faults)
 # --profile-out writes an mct-host-v1 document that mct_report renders;
 # --manifest-out lists it with a checksum that aggregate re-verifies,
 # so a profile changed after the run is an integrity error (exit 3).
+# Both name the bench after its binary.
 add_test(NAME bench_harness_profile COMMAND sh -c "\
 d=${CMAKE_BINARY_DIR}/bench_harness_profile; mkdir -p $d && cd $d || exit 1; \
 $<TARGET_FILE:bench_table2_config_space> --profile-out P.json \
     --manifest-out M.json >/dev/null || exit 2; \
 grep -q '\"schema\":\"mct-host-v1\"' P.json || exit 3; \
+grep -q '\"app\":\"bench_table2_config_space\"' M.json || exit 7; \
+grep -q '\"app\":\"bench_table2_config_space\"' P.json || exit 8; \
 $<TARGET_FILE:mct_report> show --host P.json | grep -q '^host telemetry' || exit 4; \
 grep -q '\"kind\":\"host\",\"schema\":\"mct-host-v1\",\"path\":\"P.json\"' M.json || exit 5; \
 $<TARGET_FILE:mct_report> aggregate M.json --with-host >/dev/null || exit 6; \

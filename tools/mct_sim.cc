@@ -110,7 +110,14 @@
  * While armed, SIGTERM/SIGINT finish the current chunk, write a final
  * checkpoint, and exit with status 75 (preempted; no telemetry files
  * are written). A resumed run re-produces the uninterrupted run's
- * stats/spans/provenance surfaces byte for byte.
+ * stats/spans/provenance surfaces byte for byte, given the same flags
+ * (the run fingerprint in every checkpoint pins them).
+ *
+ * Every System::run call ends by letting the memory controller catch
+ * up with the core, so where a run is cut into calls shows in its
+ * simulated numbers. --stats-every windows, --ckpt-every boundaries
+ * and the 50k-instruction chunks of a --faults run all cut it: arming
+ * any of them moves the results slightly against a run without it.
  *
  * Malformed numeric flag values are fatal errors, never silent zeros.
  * A malformed --faults plan prints the parse error and exits 2.
@@ -123,12 +130,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -214,6 +221,16 @@ struct Args
             mct_fatal("--", k, " expects an integer, got '", s, "'");
         return v;
     }
+
+    /** A count flag: an integer of at least @p min. */
+    std::uint64_t
+    getCount(const std::string &k, long long dflt, long long min) const
+    {
+        const long long v = getI(k, dflt);
+        if (v < min)
+            mct_fatal("--", k, " must be ≥ ", min);
+        return static_cast<std::uint64_t>(v);
+    }
 };
 
 Args
@@ -286,10 +303,10 @@ EvalParams
 evalFromArgs(const Args &args)
 {
     EvalParams ep;
-    ep.warmupInsts = static_cast<InstCount>(
-        args.getI("warmup", static_cast<long long>(ep.warmupInsts)));
-    ep.measureInsts = static_cast<InstCount>(
-        args.getI("measure", static_cast<long long>(ep.measureInsts)));
+    ep.warmupInsts = args.getCount(
+        "warmup", static_cast<long long>(ep.warmupInsts), 0);
+    ep.measureInsts = args.getCount(
+        "measure", static_cast<long long>(ep.measureInsts), 1);
     ep.sys.seed = static_cast<std::uint64_t>(args.getI("seed", 1));
     if (args.has("startgap"))
         ep.sys.nvm.wearLevelMode = WearLevelMode::StartGap;
@@ -328,17 +345,6 @@ struct Telemetry
     std::size_t spanCap = 16 * 1024;
     std::size_t provCap = 4 * 1024;
     std::uint64_t auditEvery = 1; ///< --audit-every N
-
-    /** Any surface requested at all? */
-    bool
-    any() const
-    {
-        return !statsJson.empty() || !traceOut.empty() ||
-               !traceChrome.empty() || statsEvery > 0 ||
-               wantsSpans() || wantsProvenance() || wantsHost() ||
-               wantsTimeline() || wantsAlerts() ||
-               !manifestOut.empty();
-    }
 
     /** Should per-window metric deltas be collected into a ring? */
     bool wantsTimeline() const { return !timelineOut.empty(); }
@@ -392,46 +398,27 @@ telemetryFromArgs(const Args &args)
     t.statsJson = args.get("stats-json", "");
     t.traceOut = args.get("trace-out", "");
     t.traceChrome = args.get("trace-chrome", "");
-    t.statsEvery =
-        static_cast<InstCount>(args.getI("stats-every", 0));
-    const long long cap = args.getI("trace-cap", 64 * 1024);
-    if (cap <= 0)
-        mct_fatal("--trace-cap must be positive");
-    t.traceCap = static_cast<std::size_t>(cap);
+    t.statsEvery = args.getCount("stats-every", 0, 0);
+    t.traceCap = args.getCount("trace-cap", 64 * 1024, 1);
     t.spansOut = args.get("spans-out", "");
     t.spansChrome = args.get("spans-chrome", "");
-    const long long sample = args.getI("span-sample", 0);
-    if (sample < 0)
-        mct_fatal("--span-sample must be non-negative");
-    t.spanSample = static_cast<std::uint64_t>(sample);
-    const long long scap = args.getI("span-cap", 16 * 1024);
-    if (scap <= 0)
-        mct_fatal("--span-cap must be positive");
-    t.spanCap = static_cast<std::size_t>(scap);
+    t.spanSample = args.getCount("span-sample", 0, 0);
+    t.spanCap = args.getCount("span-cap", 16 * 1024, 1);
     // A spans output implies sampling at the default period.
     if (t.spanSample == 0 &&
         (!t.spansOut.empty() || !t.spansChrome.empty()))
         t.spanSample = 64;
     t.provOut = args.get("provenance-out", "");
     t.provChrome = args.get("provenance-chrome", "");
-    const long long pcap = args.getI("provenance-cap", 4 * 1024);
-    if (pcap <= 0)
-        mct_fatal("--provenance-cap must be positive");
-    t.provCap = static_cast<std::size_t>(pcap);
-    const long long audit = args.getI("audit-every", 1);
-    if (audit < 0)
-        mct_fatal("--audit-every must be non-negative");
-    t.auditEvery = static_cast<std::uint64_t>(audit);
+    t.provCap = args.getCount("provenance-cap", 4 * 1024, 1);
+    t.auditEvery = args.getCount("audit-every", 1, 0);
     t.hostOut = args.get("host-profile-out", "");
     t.hostChrome = args.get("host-profile-chrome", "");
     t.timelineOut = args.get("timeline-out", "");
     t.timelineGlobs = splitGlobs(args.get("timeline-metrics", "sim.*"));
     if (t.timelineGlobs.empty())
         mct_fatal("--timeline-metrics needs at least one glob");
-    const long long tcap = args.getI("timeline-cap", 512);
-    if (tcap <= 0)
-        mct_fatal("--timeline-cap must be positive");
-    t.timelineCap = static_cast<std::size_t>(tcap);
+    t.timelineCap = args.getCount("timeline-cap", 512, 1);
     if (t.timelineOut.empty() &&
         (args.has("timeline-metrics") || args.has("timeline-cap")))
         mct_fatal("--timeline-metrics and --timeline-cap require "
@@ -533,61 +520,38 @@ printFaultSummary(const FaultInjector &inj, const MctController *ctl)
     }
 }
 
+/**
+ * Arm the fault injector and the requested telemetry surfaces on a
+ * freshly built System. Decision provenance exists only in mct mode.
+ */
+void
+armSurfaces(System &sys, const Telemetry &t, const FaultArgs &faults,
+            FaultInjector &inj, HostProfiler &host, bool provenance)
+{
+    if (faults.any())
+        sys.attachFaultInjector(&inj);
+    if (t.wantsTrace())
+        sys.eventTrace().enable(t.traceCap);
+    if (t.wantsSpans())
+        sys.enableSpans(t.spanSample, t.spanCap);
+    if (provenance && t.wantsProvenance())
+        sys.provenanceTrace().enable(t.provCap);
+    if (t.wantsTimeline())
+        sys.enableTimeline(t.timelineGlobs, t.timelineCap);
+    if (t.wantsAlerts())
+        sys.enableAlerts(t.alertRules);
+    if (t.wantsHost()) {
+        host.enable();
+        sys.attachHostProfiler(&host);
+    }
+}
+
 /** One periodic delta record collected during the run. */
 struct PeriodicDelta
 {
     InstCount inst = 0;
     StatSnapshot delta;
 };
-
-/**
- * Drive @p step in chunks of @p t.statsEvery instructions (one chunk
- * of @p total when disabled), capturing a registry delta snapshot per
- * chunk. Without --stats-json the deltas stream to stdout as JSONL so
- * --stats-every is useful on its own.
- */
-template <typename StepFn>
-std::vector<PeriodicDelta>
-runWithPeriodicStats(System &sys, InstCount total, const Telemetry &t,
-                     StepFn step)
-{
-    std::vector<PeriodicDelta> out;
-    if (t.statsEvery == 0) {
-        step(total);
-        return out;
-    }
-    const InstCount target = sys.retired() + total;
-    StatSnapshot prev = sys.statRegistry().snapshot();
-    while (sys.retired() < target) {
-        step(std::min<InstCount>(t.statsEvery,
-                                 target - sys.retired()));
-        // Host telemetry refreshes on the same cadence but into its
-        // own sample stream, keeping the delta snapshots bit-stable.
-        if (HostProfiler *hp = sys.hostProfiler())
-            hp->samplePeriodic(
-                static_cast<std::uint64_t>(sys.retired()));
-        StatSnapshot cur = sys.statRegistry().snapshot();
-        PeriodicDelta pd;
-        pd.inst = sys.retired();
-        pd.delta = StatRegistry::delta(prev, cur);
-        prev = std::move(cur);
-        // Timeline capture and alert evaluation see the same window
-        // delta that the stats document records.
-        sys.observeWindow(pd.inst, pd.delta);
-        if (t.statsJson.empty()) {
-            JsonWriter w(std::cout);
-            w.beginObject();
-            w.kv("inst", static_cast<std::uint64_t>(pd.inst));
-            w.key("delta");
-            writeSnapshot(w, pd.delta);
-            w.endObject();
-            std::cout << '\n';
-        } else {
-            out.push_back(std::move(pd));
-        }
-    }
-    return out;
-}
 
 /** Raised by SIGTERM/SIGINT while checkpointing is armed. */
 volatile std::sig_atomic_t gStopRequested = 0;
@@ -596,14 +560,6 @@ void
 onStopSignal(int)
 {
     gStopRequested = 1;
-}
-
-/** Arm graceful preemption (only while checkpointing is armed). */
-void
-installStopHandler()
-{
-    std::signal(SIGTERM, onStopSignal);
-    std::signal(SIGINT, onStopSignal);
 }
 
 /** Exit status of a run preempted by a stop signal (EX_TEMPFAIL). */
@@ -624,10 +580,7 @@ ckptFromArgs(const Args &args)
 {
     CkptArgs c;
     c.out = args.get("ckpt-out", "");
-    const long long every = args.getI("ckpt-every", 1000 * 1000);
-    if (every <= 0)
-        mct_fatal("--ckpt-every must be positive");
-    c.every = static_cast<InstCount>(every);
+    c.every = args.getCount("ckpt-every", 1000 * 1000, 1);
     c.resume = args.has("resume");
     if (c.out.empty() && (c.resume || args.has("ckpt-every")))
         mct_fatal("--resume and --ckpt-every require --ckpt-out");
@@ -709,215 +662,245 @@ runFingerprint(const std::string &mode, const std::string &app,
 }
 
 /**
- * One armed checkpoint schedule around a run. Boundaries live at
- * absolute multiples of the period in retired-instruction space, so
- * an uninterrupted run and a killed-then-resumed run chunk the
- * simulation identically — the foundation of byte-identical resume.
+ * The warmup -> measure schedule of one eval or mct run, with its
+ * checkpoint boundaries and the driver state a checkpoint carries.
+ * Boundaries live at absolute multiples of the period in
+ * retired-instruction space, so an uninterrupted run and a
+ * killed-then-resumed run chunk the simulation identically — the
+ * foundation of byte-identical resume. Without --ckpt-out the session
+ * has no boundaries and never saves: the run issues exactly the
+ * System::run calls its warmup, measure and stats cadence ask for.
  */
 class CkptSession
 {
   public:
-    CkptSession(CheckpointStore &store, std::string fingerprint,
-                InstCount every, System &sys, DriverState &state)
-        : store_(store), fp(std::move(fingerprint)), every_(every),
-          sys_(sys), ds(state)
-    {}
+    CkptSession(const CkptArgs &ck, std::string fingerprint,
+                System &sys, FaultInjector *inj)
+        : fp_(std::move(fingerprint)), every_(ck.every), sys_(sys),
+          inj_(inj)
+    {
+        if (!ck.armed())
+            return;
+        store_ = std::make_unique<CheckpointStore>(ck.out);
+        store_->registerStats(sys_.statRegistry());
+        // Graceful preemption: finish the chunk, checkpoint, exit 75.
+        std::signal(SIGTERM, onStopSignal);
+        std::signal(SIGINT, onStopSignal);
+    }
 
-    void attachController(const MctController *c) { ctl = c; }
-    void attachInjector(const FaultInjector *f) { inj = f; }
+    DriverState ds;
 
+    void attachController(const MctController *c) { ctl_ = c; }
+
+    /**
+     * Run the warmup to the absolute instruction @p target, then call
+     * @p start (mct mode builds its controller there) and pin the
+     * measure window's base. A resumed run past its warmup skips both.
+     * Returns false when a stop signal preempted the stretch.
+     */
+    template <typename StepFn, typename StartFn>
+    bool
+    warmup(InstCount target, StepFn step, StartFn start)
+    {
+        if (ds.warmupDone)
+            return true;
+        {
+            HostProfiler::Scope replay(sys_.hostProfiler(), "replay");
+            while (sys_.retired() < target && !gStopRequested) {
+                const InstCount ckptAt = nextBoundary(sys_.retired());
+                step(std::min(target, ckptAt) - sys_.retired());
+                if (sys_.retired() >= ckptAt)
+                    save();
+            }
+        }
+        if (gStopRequested)
+            return false;
+        start();
+        ds.warmupDone = true;
+        ds.s0 = sys_.snapshot();
+        ds.prev = sys_.statRegistry().snapshot();
+        ds.lastCapture = sys_.retired();
+        return true;
+    }
+
+    /**
+     * Measure @p insts instructions past the warmup, chunked to the
+     * next stats or checkpoint boundary (whichever is closer), with a
+     * registry delta snapshot every @p t.statsEvery instructions.
+     * Without --stats-json the deltas stream to stdout as JSONL so
+     * --stats-every is useful on its own. Returns false on preemption.
+     */
+    template <typename StepFn>
+    bool
+    measure(InstCount insts, const Telemetry &t, StepFn step)
+    {
+        const InstCount target = ds.s0.instructions + insts;
+        while (sys_.retired() < target && !gStopRequested) {
+            const InstCount ckptAt = nextBoundary(sys_.retired());
+            InstCount stop = std::min(target, ckptAt);
+            if (t.statsEvery > 0)
+                stop = std::min(stop, ds.lastCapture + t.statsEvery);
+            step(stop - sys_.retired());
+            if (t.statsEvery > 0 &&
+                (sys_.retired() >= ds.lastCapture + t.statsEvery ||
+                 sys_.retired() >= target))
+                capture(t);
+            if (sys_.retired() >= ckptAt)
+                save();
+        }
+        return gStopRequested == 0;
+    }
+
+    /**
+     * Load the newest valid checkpoint and overlay it onto the freshly
+     * constructed system. When the payload carries controller state,
+     * @p makeCtl constructs the controller *before* the system overlay
+     * so its construction side effects (baseline config, trace events)
+     * are overwritten exactly as they were in the uninterrupted run.
+     */
+    void
+    resume(const std::function<MctController *()> &makeCtl)
+    {
+        if (inj_ && inj_->wantsCkptCorruption() &&
+            !store_->newestSlot().empty()) {
+            // Chaos drill: scramble the newest slot before the load so
+            // the checksum-reject -> fall-back-to-previous path runs
+            // for real (mirrors the sweep-cache corruption drill).
+            inj_->corruptCheckpointFile(store_->newestSlot());
+        }
+        const CheckpointLoadResult r = store_->load();
+        if (!r.ok)
+            mct_fatal("--resume: ", r.error);
+        if (r.fingerprint != fp_) {
+            mct_fatal("--resume: checkpoint was written by a different "
+                      "run\n  saved:   ", r.fingerprint,
+                      "\n  current: ", fp_);
+        }
+        Deserializer d(r.payload);
+        const bool hasCtl = d.getBool();
+        if (hasCtl && !makeCtl)
+            mct_fatal("--resume: checkpoint carries controller state "
+                      "(was it written by mct mode?)");
+        MctController *c = hasCtl ? makeCtl() : nullptr;
+        sys_.deserialize(d);
+        if (c)
+            c->deserialize(d);
+        ds.deserialize(d);
+        if (d.getBool()) {
+            if (!inj_)
+                mct_fatal("--resume: checkpoint carries fault-injector "
+                          "state but no --faults plan was given");
+            inj_->deserialize(d);
+        }
+        if (!d.atEnd())
+            mct_panic("checkpoint payload has trailing bytes");
+        store_->noteResume();
+        if (r.corruptRejected) {
+            sys_.eventTrace().record(
+                TraceEventType::RecoveryAction,
+                static_cast<double>(RecoveryStep::CkptQuarantine), 0.0,
+                static_cast<double>(store_->corruptLoads()));
+        }
+        std::printf("checkpoint     resumed seq %llu from %s at inst "
+                    "%llu%s\n",
+                    static_cast<unsigned long long>(r.sequence),
+                    r.slotFile.c_str(),
+                    static_cast<unsigned long long>(sys_.retired()),
+                    r.corruptRejected ? " (corrupt slot quarantined)"
+                                      : "");
+    }
+
+    /** Publish the final checkpoint of a preempted run; exit 75. */
+    int
+    preempted()
+    {
+        save();
+        std::printf("checkpoint     preempted at inst %llu\n",
+                    static_cast<unsigned long long>(sys_.retired()));
+        return exitPreempted;
+    }
+
+    /** Human summary of checkpoint activity (host-side; not in stats). */
+    void
+    printSummary() const
+    {
+        if (!store_)
+            return;
+        std::printf("ckpt           writes %llu, corrupt_loads %llu, "
+                    "resumes %llu\n",
+                    static_cast<unsigned long long>(store_->writes()),
+                    static_cast<unsigned long long>(
+                        store_->corruptLoads()),
+                    static_cast<unsigned long long>(store_->resumes()));
+    }
+
+  private:
     /** First checkpoint boundary strictly after @p inst. */
     InstCount
     nextBoundary(InstCount inst) const
     {
+        if (!store_)
+            return std::numeric_limits<InstCount>::max();
         return (inst / every_ + 1) * every_;
     }
 
     /** Serialize everything live and publish one checkpoint. */
-    bool
-    save() const
+    void
+    save()
     {
+        if (!store_)
+            return;
         Serializer s;
-        s.putBool(ctl != nullptr);
+        s.putBool(ctl_ != nullptr);
         sys_.serialize(s);
-        if (ctl)
-            ctl->serialize(s);
+        if (ctl_)
+            ctl_->serialize(s);
         ds.serialize(s);
-        s.putBool(inj != nullptr);
-        if (inj)
-            inj->serialize(s);
-        return store_.save(fp, s.data());
+        s.putBool(inj_ != nullptr);
+        if (inj_)
+            inj_->serialize(s);
+        // A failed write warns and keeps the previous slot; the run
+        // goes on and the next boundary tries again.
+        (void)store_->save(fp_, s.data());
     }
 
-    const std::string &fingerprint() const { return fp; }
+    /** Close one stats window at the current instruction. */
+    void
+    capture(const Telemetry &t)
+    {
+        // Host telemetry refreshes on the same cadence but into its
+        // own sample stream, keeping the delta snapshots bit-stable.
+        if (HostProfiler *hp = sys_.hostProfiler())
+            hp->samplePeriodic(static_cast<std::uint64_t>(sys_.retired()));
+        StatSnapshot cur = sys_.statRegistry().snapshot();
+        PeriodicDelta pd;
+        pd.inst = sys_.retired();
+        pd.delta = StatRegistry::delta(ds.prev, cur);
+        ds.prev = std::move(cur);
+        ds.lastCapture = pd.inst;
+        // Timeline capture and alert evaluation see the same window
+        // delta that the stats document records.
+        sys_.observeWindow(pd.inst, pd.delta);
+        if (t.statsJson.empty()) {
+            JsonWriter w(std::cout);
+            w.beginObject();
+            w.kv("inst", static_cast<std::uint64_t>(pd.inst));
+            w.key("delta");
+            writeSnapshot(w, pd.delta);
+            w.endObject();
+            std::cout << '\n';
+        } else {
+            ds.periodic.push_back(std::move(pd));
+        }
+    }
 
-  private:
-    CheckpointStore &store_;
-    std::string fp;
+    std::string fp_;
     InstCount every_;
     System &sys_;
-    DriverState &ds;
-    const MctController *ctl = nullptr;
-    const FaultInjector *inj = nullptr;
+    FaultInjector *inj_;
+    std::unique_ptr<CheckpointStore> store_; ///< null when disarmed
+    const MctController *ctl_ = nullptr;
 };
-
-/**
- * Run to the absolute instruction @p target in checkpoint-bounded
- * chunks. Returns false when a stop signal preempted the stretch (the
- * caller writes the final checkpoint and exits).
- */
-template <typename StepFn>
-bool
-runArmedTo(System &sys, InstCount target, const CkptSession &ck,
-           StepFn step)
-{
-    while (sys.retired() < target && !gStopRequested) {
-        const InstCount ckptAt = ck.nextBoundary(sys.retired());
-        step(std::min(target, ckptAt) - sys.retired());
-        if (sys.retired() >= ckptAt)
-            ck.save();
-    }
-    return gStopRequested == 0;
-}
-
-/**
- * The measure loop under an armed checkpoint schedule: chunk to the
- * next stats or checkpoint boundary (whichever is closer), capturing
- * periodic deltas with the same cadence and content as
- * runWithPeriodicStats. Returns false on preemption.
- */
-template <typename StepFn>
-bool
-runMeasureArmed(System &sys, InstCount target, const Telemetry &t,
-                const CkptSession &ck, DriverState &ds, StepFn step)
-{
-    while (sys.retired() < target && !gStopRequested) {
-        InstCount stop = target;
-        if (t.statsEvery > 0)
-            stop = std::min(stop, ds.lastCapture + t.statsEvery);
-        const InstCount ckptAt = ck.nextBoundary(sys.retired());
-        stop = std::min(stop, ckptAt);
-        step(stop - sys.retired());
-        const bool capture =
-            t.statsEvery > 0 &&
-            (sys.retired() >= ds.lastCapture + t.statsEvery ||
-             sys.retired() >= target);
-        if (capture) {
-            if (HostProfiler *hp = sys.hostProfiler())
-                hp->samplePeriodic(
-                    static_cast<std::uint64_t>(sys.retired()));
-            StatSnapshot cur = sys.statRegistry().snapshot();
-            PeriodicDelta pd;
-            pd.inst = sys.retired();
-            pd.delta = StatRegistry::delta(ds.prev, cur);
-            ds.prev = std::move(cur);
-            ds.lastCapture = pd.inst;
-            // Same hook as the unarmed loop: window content and order
-            // are identical, so timeline/alert state (and thus their
-            // serialized checkpoints) replay byte for byte.
-            sys.observeWindow(pd.inst, pd.delta);
-            if (t.statsJson.empty()) {
-                JsonWriter w(std::cout);
-                w.beginObject();
-                w.kv("inst", static_cast<std::uint64_t>(pd.inst));
-                w.key("delta");
-                writeSnapshot(w, pd.delta);
-                w.endObject();
-                std::cout << '\n';
-            } else {
-                ds.periodic.push_back(std::move(pd));
-            }
-        }
-        if (sys.retired() >= ckptAt)
-            ck.save();
-    }
-    return gStopRequested == 0;
-}
-
-/** Publish the final checkpoint of a preempted run and exit 75. */
-int
-preempted(const CkptSession &ck, const System &sys)
-{
-    ck.save();
-    std::printf("checkpoint     preempted at inst %llu\n",
-                static_cast<unsigned long long>(sys.retired()));
-    return exitPreempted;
-}
-
-/**
- * Load the newest valid checkpoint and overlay it onto the freshly
- * constructed system. When the payload carries controller state,
- * @p makeCtl constructs the controller *before* the system overlay so
- * its construction side effects (baseline config, trace events) are
- * overwritten exactly as they were in the uninterrupted run. Returns
- * the constructed controller (null in eval mode).
- */
-MctController *
-restoreFromCheckpoint(CheckpointStore &store, const CkptSession &sess,
-                      System &sys, DriverState &ds, FaultInjector *inj,
-                      const std::function<MctController *()> &makeCtl)
-{
-    if (inj && inj->wantsCkptCorruption() &&
-        !store.newestSlot().empty()) {
-        // Chaos drill: scramble the newest slot before the load so
-        // the checksum-reject -> fall-back-to-previous path runs for
-        // real (mirrors the sweep-cache corruption drill).
-        inj->corruptCheckpointFile(store.newestSlot());
-    }
-    const CheckpointLoadResult r = store.load();
-    if (!r.ok)
-        mct_fatal("--resume: ", r.error);
-    if (r.fingerprint != sess.fingerprint()) {
-        mct_fatal("--resume: checkpoint was written by a different "
-                  "run\n  saved:   ", r.fingerprint,
-                  "\n  current: ", sess.fingerprint());
-    }
-    Deserializer d(r.payload);
-    const bool hasCtl = d.getBool();
-    if (hasCtl && !makeCtl)
-        mct_fatal("--resume: checkpoint carries controller state "
-                  "(was it written by mct mode?)");
-    MctController *ctl = hasCtl ? makeCtl() : nullptr;
-    sys.deserialize(d);
-    if (ctl)
-        ctl->deserialize(d);
-    ds.deserialize(d);
-    const bool hasInj = d.getBool();
-    if (hasInj) {
-        if (!inj)
-            mct_fatal("--resume: checkpoint carries fault-injector "
-                      "state but no --faults plan was given");
-        inj->deserialize(d);
-    }
-    if (!d.atEnd())
-        mct_panic("checkpoint payload has trailing bytes");
-    store.noteResume();
-    if (r.corruptRejected) {
-        sys.eventTrace().record(
-            TraceEventType::RecoveryAction,
-            static_cast<double>(RecoveryStep::CkptQuarantine), 0.0,
-            static_cast<double>(store.corruptLoads()));
-    }
-    std::printf("checkpoint     resumed seq %llu from %s at inst "
-                "%llu%s\n",
-                static_cast<unsigned long long>(r.sequence),
-                r.slotFile.c_str(),
-                static_cast<unsigned long long>(sys.retired()),
-                r.corruptRejected ? " (corrupt slot quarantined)"
-                                  : "");
-    return ctl;
-}
-
-/** Human summary of checkpoint activity (host-side; not in stats). */
-void
-printCkptSummary(const CheckpointStore &store)
-{
-    std::printf("ckpt           writes %llu, corrupt_loads %llu, "
-                "resumes %llu\n",
-                static_cast<unsigned long long>(store.writes()),
-                static_cast<unsigned long long>(store.corruptLoads()),
-                static_cast<unsigned long long>(store.resumes()));
-}
 
 /** Run identity recorded into the manifest (--manifest-out). */
 struct RunIdentity
@@ -926,6 +909,22 @@ struct RunIdentity
     std::string faultPlan;   ///< --faults spec ("" when none)
     std::string fingerprint; ///< runFingerprint() of this invocation
 };
+
+/**
+ * Publish what @p write puts on a stream at @p path, atomically.
+ * Names the path on stderr and returns false when it cannot.
+ */
+template <typename WriteFn>
+bool
+writeFile(const std::string &path, WriteFn write)
+{
+    AtomicFile f(path);
+    write(f.stream());
+    if (f.commit())
+        return true;
+    std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
+    return false;
+}
 
 /**
  * Publish the mct-manifest-v1 document naming this run and every
@@ -959,26 +958,22 @@ writeRunManifest(const std::string &path, const std::string &mode,
         a.path = manifestRelative(path, a.path);
         m.artifacts.push_back(std::move(a));
     }
-    AtomicFile f(path);
-    writeManifestJson(f.stream(), m);
-    if (!f.commit()) {
-        std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
+    if (!writeFile(path, [&](std::ostream &os) {
+            writeManifestJson(os, m);
+        }))
         return false;
-    }
     std::printf("manifest-out   %s (%zu artifacts, run %s)\n",
                 path.c_str(), m.artifacts.size(), m.runId.c_str());
     return true;
 }
 
-/** Write the machine-readable stats document (--stats-json). */
-bool
-writeStatsDoc(const Telemetry &t, const std::string &mode,
+/** The machine-readable stats document (--stats-json). */
+void
+writeStatsDoc(std::ostream &os, const std::string &mode,
               const std::string &app, const System &sys,
               const MctController *ctl,
               const std::vector<PeriodicDelta> &periodic)
 {
-    AtomicFile file(t.statsJson);
-    std::ostream &os = file.stream();
     JsonWriter w(os);
     w.beginObject();
     w.kv("schema", "mct-stats-v1");
@@ -1046,182 +1041,113 @@ writeStatsDoc(const Telemetry &t, const std::string &mode,
     w.kv("events_dropped", trace.dropped());
     w.endObject();
     os << '\n';
-    return file.commit();
 }
 
-/** Write all requested telemetry surfaces; 0 on success. */
-int
-finishTelemetry(const Telemetry &t, const std::string &mode,
-                const std::string &app, const System &sys,
-                const MctController *ctl,
-                const std::vector<PeriodicDelta> &periodic,
-                const RunIdentity &rid)
+/** " (A what, B what2)": the record counts after a published file. */
+std::string
+tally(std::uint64_t a, const char *what, std::uint64_t b,
+      const char *what2)
+{
+    return " (" + std::to_string(a) + " " + what + ", " +
+           std::to_string(b) + " " + what2 + ")";
+}
+
+/**
+ * The files one run publishes. Each requested surface is written
+ * atomically, announced on stdout and listed for the manifest; the
+ * first failure stops further writes.
+ */
+struct Publisher
 {
     std::vector<ManifestArtifact> artifacts;
-    const auto note = [&artifacts](const char *kind,
-                                   const char *schema,
-                                   const std::string &path) {
+    bool ok = true;
+
+    /** Publish one surface; an empty @p path means not requested. */
+    template <typename WriteFn>
+    void
+    operator()(const std::string &path, const char *label,
+               const char *kind, const char *schema, WriteFn write,
+               const std::string &detail = "")
+    {
+        if (path.empty() || !ok)
+            return;
+        ok = writeFile(path, write);
+        if (!ok)
+            return;
+        std::printf("%-14s %s%s\n", label, path.c_str(), detail.c_str());
         ManifestArtifact a;
         a.kind = kind;
         a.schema = schema;
         a.path = path;
         artifacts.push_back(std::move(a));
-    };
-    if (!t.statsJson.empty()) {
-        if (!writeStatsDoc(t, mode, app, sys, ctl, periodic)) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.statsJson.c_str());
-            return 1;
-        }
-        std::printf("stats-json     %s\n", t.statsJson.c_str());
-        note("stats", "mct-stats-v1", t.statsJson);
     }
+};
+
+/** Publish every requested telemetry surface; 0 on success. */
+int
+publishTelemetry(const Telemetry &t, const std::string &mode,
+                 const std::string &app, const System &sys,
+                 const MctController *ctl,
+                 const std::vector<PeriodicDelta> &periodic,
+                 const RunIdentity &rid)
+{
+    const std::string config = configKey(sys.config());
     const EventTrace &trace = sys.eventTrace();
-    if (!t.traceOut.empty()) {
-        AtomicFile f(t.traceOut);
-        trace.writeJsonl(f.stream());
-        if (!f.commit()) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.traceOut.c_str());
-            return 1;
-        }
-        std::printf("trace-out      %s (%llu events, %llu dropped)\n",
-                    t.traceOut.c_str(),
-                    static_cast<unsigned long long>(trace.size()),
-                    static_cast<unsigned long long>(trace.dropped()));
-        note("trace", "", t.traceOut);
-    }
-    if (!t.traceChrome.empty()) {
-        AtomicFile f(t.traceChrome);
-        trace.writeChromeTrace(f.stream());
-        if (!f.commit()) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.traceChrome.c_str());
-            return 1;
-        }
-        std::printf("trace-chrome   %s\n", t.traceChrome.c_str());
-        note("trace_chrome", "", t.traceChrome);
-    }
     const SpanTrace &spans = sys.spanTrace();
-    if (!t.spansOut.empty()) {
-        AtomicFile f(t.spansOut);
-        spans.writeJsonl(f.stream());
-        if (!f.commit()) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.spansOut.c_str());
-            return 1;
-        }
-        std::printf("spans-out      %s (%llu spans, %llu dropped)\n",
-                    t.spansOut.c_str(),
-                    static_cast<unsigned long long>(spans.size()),
-                    static_cast<unsigned long long>(spans.dropped()));
-        note("spans", "", t.spansOut);
-    }
-    if (!t.spansChrome.empty()) {
-        AtomicFile f(t.spansChrome);
-        spans.writeChromeTrace(f.stream());
-        if (!f.commit()) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.spansChrome.c_str());
-            return 1;
-        }
-        std::printf("spans-chrome   %s\n", t.spansChrome.c_str());
-        note("spans_chrome", "", t.spansChrome);
-    }
     const ProvenanceTrace &prov = sys.provenanceTrace();
-    if (!t.provOut.empty()) {
-        AtomicFile f(t.provOut);
-        prov.writeJsonl(f.stream());
-        if (!f.commit()) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.provOut.c_str());
-            return 1;
-        }
-        std::printf("provenance-out %s (%llu records, %llu dropped)\n",
-                    t.provOut.c_str(),
-                    static_cast<unsigned long long>(prov.size()),
-                    static_cast<unsigned long long>(prov.dropped()));
-        note("provenance", "", t.provOut);
-    }
-    if (!t.provChrome.empty()) {
-        AtomicFile f(t.provChrome);
-        prov.writeChromeTrace(f.stream());
-        if (!f.commit()) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.provChrome.c_str());
-            return 1;
-        }
-        std::printf("provenance-chrome %s\n", t.provChrome.c_str());
-        note("provenance_chrome", "", t.provChrome);
-    }
-    if (!t.timelineOut.empty()) {
-        AtomicFile f(t.timelineOut);
-        std::map<std::string, double> extra;
-        if (sys.alerts().enabled())
-            sys.alerts().appendFinal(extra);
-        sys.timeline().writeJson(f.stream(), mode, app,
-                                 configKey(sys.config()), extra);
-        if (!f.commit()) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.timelineOut.c_str());
-            return 1;
-        }
-        std::printf("timeline-out   %s (%llu windows, %llu dropped)\n",
-                    t.timelineOut.c_str(),
-                    static_cast<unsigned long long>(
-                        sys.timeline().recorded()),
-                    static_cast<unsigned long long>(
-                        sys.timeline().dropped()));
-        note("timeline", "mct-timeline-v1", t.timelineOut);
-    }
-    if (!t.alertsOut.empty()) {
-        AtomicFile f(t.alertsOut);
-        sys.alerts().writeJsonl(f.stream());
-        if (!f.commit()) {
-            std::fprintf(stderr, "cannot write '%s'\n",
-                         t.alertsOut.c_str());
-            return 1;
-        }
-        std::printf("alerts-out     %s (%llu raised, %llu cleared)\n",
-                    t.alertsOut.c_str(),
-                    static_cast<unsigned long long>(
-                        sys.alerts().raised()),
-                    static_cast<unsigned long long>(
-                        sys.alerts().cleared()));
-        note("alerts", "", t.alertsOut);
-    }
+    const MetricTimeline &timeline = sys.timeline();
+    const AlertEngine &alerts = sys.alerts();
+    Publisher publish;
+    publish(t.statsJson, "stats-json", "stats", "mct-stats-v1",
+            [&](std::ostream &os) {
+                writeStatsDoc(os, mode, app, sys, ctl, periodic);
+            });
+    publish(t.traceOut, "trace-out", "trace", "",
+            [&](std::ostream &os) { trace.writeJsonl(os); },
+            tally(trace.size(), "events", trace.dropped(), "dropped"));
+    publish(t.traceChrome, "trace-chrome", "trace_chrome", "",
+            [&](std::ostream &os) { trace.writeChromeTrace(os); });
+    publish(t.spansOut, "spans-out", "spans", "",
+            [&](std::ostream &os) { spans.writeJsonl(os); },
+            tally(spans.size(), "spans", spans.dropped(), "dropped"));
+    publish(t.spansChrome, "spans-chrome", "spans_chrome", "",
+            [&](std::ostream &os) { spans.writeChromeTrace(os); });
+    publish(t.provOut, "provenance-out", "provenance", "",
+            [&](std::ostream &os) { prov.writeJsonl(os); },
+            tally(prov.size(), "records", prov.dropped(), "dropped"));
+    publish(t.provChrome, "provenance-chrome", "provenance_chrome", "",
+            [&](std::ostream &os) { prov.writeChromeTrace(os); });
+    publish(t.timelineOut, "timeline-out", "timeline", "mct-timeline-v1",
+            [&](std::ostream &os) {
+                std::map<std::string, double> extra;
+                if (alerts.enabled())
+                    alerts.appendFinal(extra);
+                timeline.writeJson(os, mode, app, config, extra);
+            },
+            tally(timeline.recorded(), "windows", timeline.dropped(),
+                  "dropped"));
+    publish(t.alertsOut, "alerts-out", "alerts", "",
+            [&](std::ostream &os) { alerts.writeJsonl(os); },
+            tally(alerts.raised(), "raised", alerts.cleared(),
+                  "cleared"));
     if (HostProfiler *hp = sys.hostProfiler()) {
         hp->sampleMemory(); // end-of-run RSS / high-water refresh
-        if (!t.hostOut.empty()) {
-            AtomicFile f(t.hostOut);
-            hp->writeJson(f.stream(), mode, app,
-                          configKey(sys.config()));
-            if (!f.commit()) {
-                std::fprintf(stderr, "cannot write '%s'\n",
-                             t.hostOut.c_str());
-                return 1;
-            }
-            std::printf("host-profile   %s (%.2f mips, rss %.0f kB)\n",
-                        t.hostOut.c_str(), hp->mips(),
-                        hp->rssHighWaterKb());
-            note("host", "mct-host-v1", t.hostOut);
-        }
-        if (!t.hostChrome.empty()) {
-            AtomicFile f(t.hostChrome);
-            hp->writeChromeTrace(f.stream());
-            if (!f.commit()) {
-                std::fprintf(stderr, "cannot write '%s'\n",
-                             t.hostChrome.c_str());
-                return 1;
-            }
-            std::printf("host-chrome    %s\n", t.hostChrome.c_str());
-            note("host_chrome", "", t.hostChrome);
-        }
+        char detail[64];
+        std::snprintf(detail, sizeof detail, " (%.2f mips, rss %.0f kB)",
+                      hp->mips(), hp->rssHighWaterKb());
+        publish(t.hostOut, "host-profile", "host", "mct-host-v1",
+                [&](std::ostream &os) {
+                    hp->writeJson(os, mode, app, config);
+                },
+                detail);
+        publish(t.hostChrome, "host-chrome", "host_chrome", "",
+                [&](std::ostream &os) { hp->writeChromeTrace(os); });
     }
+    if (!publish.ok)
+        return 1;
     if (!t.manifestOut.empty() &&
-        !writeRunManifest(t.manifestOut, mode, app,
-                          configKey(sys.config()), rid,
-                          std::move(artifacts)))
+        !writeRunManifest(t.manifestOut, mode, app, config, rid,
+                          std::move(publish.artifacts)))
         return 1;
     return 0;
 }
@@ -1256,7 +1182,7 @@ cmdEval(const Args &args)
     if (args.has("trace")) {
         const std::string path = args.get("trace", "");
         auto wl = TraceWorkload::fromFile(
-            path, static_cast<unsigned>(args.getI("mlp", 16)));
+            path, static_cast<unsigned>(args.getCount("mlp", 16, 1)));
         System sys(std::move(wl), ep.sys, cfg);
         sys.run(ep.warmupInsts);
         const SysSnapshot s0 = sys.snapshot();
@@ -1277,103 +1203,40 @@ cmdEval(const Args &args)
     std::printf("config         %s\n", toString(cfg).c_str());
     if (args.has("stats")) {
         // Full gem5-style statistics dump instead of the summary.
-        SystemParams sp = ep.sys;
-        System sys(app, sp, cfg);
+        System sys(app, ep.sys, cfg);
         sys.run(ep.warmupInsts + ep.measureInsts);
         dumpStats(sys, std::cout);
         return 0;
     }
     const Telemetry tel = telemetryFromArgs(args);
     const FaultArgs faults = faultsFromArgs(args);
-    if (tel.any() || faults.any() || ck.armed()) {
-        // Faults need a live System to inject into, so a fault plan
-        // (or an armed checkpoint schedule) forces the instrumented
-        // path even without telemetry flags.
-        SystemParams sp = ep.sys;
-        System sys(app, sp, cfg);
-        FaultInjector inj(faults.plan, faults.seed);
+    System sys(app, ep.sys, cfg);
+    FaultInjector inj(faults.plan, faults.seed);
+    HostProfiler hostProf;
+    armSurfaces(sys, tel, faults, inj, hostProf, false);
+    const RunIdentity rid{
+        ep.sys.seed, args.get("faults", ""),
+        runFingerprint("eval", app, configKey(cfg), ep, ep.measureInsts,
+                       tel, args, ck.every)};
+    CkptSession sess(ck, rid.fingerprint, sys,
+                     faults.any() ? &inj : nullptr);
+    if (ck.resume)
+        sess.resume({});
+    const auto step = [&](InstCount n) {
         if (faults.any())
-            sys.attachFaultInjector(&inj);
-        if (tel.wantsTrace())
-            sys.eventTrace().enable(tel.traceCap);
-        if (tel.wantsSpans())
-            sys.enableSpans(tel.spanSample, tel.spanCap);
-        if (tel.wantsTimeline())
-            sys.enableTimeline(tel.timelineGlobs, tel.timelineCap);
-        if (tel.wantsAlerts())
-            sys.enableAlerts(tel.alertRules);
-        HostProfiler hostProf;
-        if (tel.wantsHost()) {
-            hostProf.enable();
-            sys.attachHostProfiler(&hostProf);
-        }
-        const auto step = [&](InstCount n) {
-            if (faults.any())
-                runChunked(sys, n);
-            else
-                sys.run(n);
-        };
-        const RunIdentity rid{
-            ep.sys.seed, args.get("faults", ""),
-            runFingerprint("eval", app, configKey(cfg), ep,
-                           ep.measureInsts, tel, args, ck.every)};
-        if (ck.armed()) {
-            CheckpointStore store(ck.out);
-            store.registerStats(sys.statRegistry());
-            DriverState ds;
-            CkptSession sess(store, rid.fingerprint, ck.every, sys,
-                             ds);
-            if (faults.any())
-                sess.attachInjector(&inj);
-            installStopHandler();
-            if (ck.resume)
-                restoreFromCheckpoint(store, sess, sys, ds,
-                                      faults.any() ? &inj : nullptr,
-                                      nullptr);
-            if (!ds.warmupDone) {
-                bool finished = false;
-                {
-                    HostProfiler::Scope replay(sys.hostProfiler(),
-                                               "replay");
-                    finished = runArmedTo(sys, ep.warmupInsts, sess,
-                                          step);
-                }
-                if (!finished)
-                    return preempted(sess, sys);
-                ds.warmupDone = true;
-                ds.s0 = sys.snapshot();
-                ds.prev = sys.statRegistry().snapshot();
-                ds.lastCapture = sys.retired();
-            }
-            if (!runMeasureArmed(sys,
-                                 ds.s0.instructions + ep.measureInsts,
-                                 tel, sess, ds, step))
-                return preempted(sess, sys);
-            printMetrics(sys.metricsSince(ds.s0));
-            if (faults.any())
-                printFaultSummary(inj, nullptr);
-            printCkptSummary(store);
-            return finishTelemetry(tel, "eval", app, sys, nullptr,
-                                   ds.periodic, rid);
-        }
-        {
-            HostProfiler::Scope replay(sys.hostProfiler(), "replay");
-            if (faults.any())
-                runChunked(sys, ep.warmupInsts);
-            else
-                sys.run(ep.warmupInsts);
-        }
-        const SysSnapshot s0 = sys.snapshot();
-        const auto periodic =
-            runWithPeriodicStats(sys, ep.measureInsts, tel, step);
-        printMetrics(sys.metricsSince(s0));
-        if (faults.any())
-            printFaultSummary(inj, nullptr);
-        return finishTelemetry(tel, "eval", app, sys, nullptr,
-                               periodic, rid);
-    }
-    printMetrics(evaluateConfig(app, cfg, ep));
-    return 0;
+            runChunked(sys, n);
+        else
+            sys.run(n);
+    };
+    if (!sess.warmup(ep.warmupInsts, step, [] {}) ||
+        !sess.measure(ep.measureInsts, tel, step))
+        return sess.preempted();
+    printMetrics(sys.metricsSince(sess.ds.s0));
+    if (faults.any())
+        printFaultSummary(inj, nullptr);
+    sess.printSummary();
+    return publishTelemetry(tel, "eval", app, sys, nullptr,
+                            sess.ds.periodic, rid);
 }
 
 int
@@ -1384,19 +1247,15 @@ cmdTrace(const Args &args)
         std::fprintf(stderr, "unknown app '%s'\n", app.c_str());
         return 2;
     }
-    const std::size_t count = static_cast<std::size_t>(
-        args.getI("ops", 100 * 1000));
+    const std::size_t count = args.getCount("ops", 100 * 1000, 1);
     const std::string out = args.get("out", app + ".trace");
     auto wl = makeWorkload(
         app, static_cast<std::uint64_t>(args.getI("seed", 1)));
     const auto ops = captureTrace(*wl, count);
-    std::ofstream os(out);
-    if (!os) {
-        std::fprintf(stderr, "cannot write '%s'\n", out.c_str());
+    if (!writeFile(out, [&](std::ostream &os) {
+            TraceWorkload::write(os, ops);
+        }))
         return 1;
-    }
-    TraceWorkload::write(os, ops);
-    os.close();
     std::printf("captured %zu operations of %s into %s\n", count,
                 app.c_str(), out.c_str());
     const std::string manifestOut = args.get("manifest-out", "");
@@ -1429,8 +1288,7 @@ cmdMct(const Args &args)
     const Telemetry tel = telemetryFromArgs(args);
     const FaultArgs faults = faultsFromArgs(args);
     const CkptArgs ck = ckptFromArgs(args);
-    const InstCount total =
-        static_cast<InstCount>(args.getI("insts", 4 * 1000 * 1000));
+    const InstCount total = args.getCount("insts", 4 * 1000 * 1000, 1);
 
     MctParams mp;
     mp.objective.minLifetimeYears = args.getD("target", 8.0);
@@ -1445,147 +1303,61 @@ cmdMct(const Args &args)
         return 2;
     }
 
-    SystemParams sp = ep.sys;
-    System sys(app, sp, staticBaselineConfig());
+    System sys(app, ep.sys, staticBaselineConfig());
     FaultInjector inj(faults.plan, faults.seed);
-    if (faults.any())
-        sys.attachFaultInjector(&inj);
-    if (tel.wantsTrace())
-        sys.eventTrace().enable(tel.traceCap);
-    if (tel.wantsSpans())
-        sys.enableSpans(tel.spanSample, tel.spanCap);
-    if (tel.wantsProvenance())
-        sys.provenanceTrace().enable(tel.provCap);
-    if (tel.wantsTimeline())
-        sys.enableTimeline(tel.timelineGlobs, tel.timelineCap);
-    if (tel.wantsAlerts())
-        sys.enableAlerts(tel.alertRules);
     HostProfiler hostProf;
-    if (tel.wantsHost()) {
-        hostProf.enable();
-        sys.attachHostProfiler(&hostProf);
-    }
-
+    armSurfaces(sys, tel, faults, inj, hostProf, true);
     const std::string configId =
         model + ":" + std::to_string(mp.objective.minLifetimeYears);
     const RunIdentity rid{ep.sys.seed, args.get("faults", ""),
                           runFingerprint("mct", app, configId, ep,
                                          total, tel, args, ck.every)};
-    if (ck.armed()) {
-        CheckpointStore store(ck.out);
-        store.registerStats(sys.statRegistry());
-        DriverState ds;
-        CkptSession sess(store, rid.fingerprint, ck.every, sys, ds);
-        if (faults.any())
-            sess.attachInjector(&inj);
-        installStopHandler();
-        std::unique_ptr<MctController> ctl;
-        if (ck.resume) {
-            restoreFromCheckpoint(
-                store, sess, sys, ds,
-                faults.any() ? &inj : nullptr, [&] {
-                    ctl = std::make_unique<MctController>(sys, mp);
-                    return ctl.get();
-                });
-            if (ctl)
-                sess.attachController(ctl.get());
-        }
-        if (!ds.warmupDone) {
-            bool finished = false;
-            {
-                HostProfiler::Scope replay(sys.hostProfiler(),
-                                           "replay");
-                finished = runArmedTo(sys, ep.warmupInsts, sess,
-                                      [&](InstCount n) { sys.run(n); });
-            }
-            if (!finished)
-                return preempted(sess, sys);
-            ctl = std::make_unique<MctController>(sys, mp);
-            sess.attachController(ctl.get());
-            ds.warmupDone = true;
-            ds.s0 = sys.snapshot();
-            ds.prev = sys.statRegistry().snapshot();
-            ds.lastCapture = sys.retired();
-        }
-        // Close the observe -> react loop: a critical alert climbs
-        // the controller's health-check ladder. Alerts only evaluate
-        // at measure-window boundaries, so wiring after construction
-        // (and after any resume overlay) cannot miss a firing.
-        sys.alerts().setEscalation(
-            [&ctl](const AlertRule &, const std::string &) {
-                ctl->noteCriticalAlert();
-            });
-        if (!runMeasureArmed(sys, ds.s0.instructions + total, tel,
-                             sess, ds,
-                             [&](InstCount n) { ctl->runFor(n); }))
-            return preempted(sess, sys);
-        // A record opened by the final decision has no realization
-        // window left; count it dropped before stats are read.
-        ctl->finalizeAudit();
-        std::printf("app            %s (target %.1f years, %s)\n",
-                    app.c_str(), mp.objective.minLifetimeYears,
-                    model.c_str());
-        std::printf("decisions      %zu (resamplings %llu, "
-                    "fallbacks %llu)\n",
-                    ctl->decisions().size(),
-                    static_cast<unsigned long long>(
-                        ctl->resamplings()),
-                    static_cast<unsigned long long>(ctl->fallbacks()));
-        std::printf("audit          %llu closed, %llu dropped, "
-                    "regret %.4f\n",
-                    static_cast<unsigned long long>(ctl->auditClosed()),
-                    static_cast<unsigned long long>(
-                        ctl->auditDropped()),
-                    ctl->cumulativeRegret());
-        std::printf("chosen         %s\n",
-                    toString(ctl->currentConfig()).c_str());
-        printMetrics(sys.metricsSince(ds.s0));
-        if (faults.any())
-            printFaultSummary(inj, ctl.get());
-        printCkptSummary(store);
-        if (tel.any())
-            return finishTelemetry(tel, "mct", app, sys, ctl.get(),
-                                   ds.periodic, rid);
-        return 0;
-    }
-
-    {
-        HostProfiler::Scope replay(sys.hostProfiler(), "replay");
-        sys.run(ep.warmupInsts);
-    }
-    MctController ctl(sys, mp);
+    CkptSession sess(ck, rid.fingerprint, sys,
+                     faults.any() ? &inj : nullptr);
+    std::unique_ptr<MctController> ctl;
+    const auto makeCtl = [&] {
+        ctl = std::make_unique<MctController>(sys, mp);
+        sess.attachController(ctl.get());
+        return ctl.get();
+    };
+    if (ck.resume)
+        sess.resume(makeCtl);
+    // Close the observe -> react loop: a critical alert climbs the
+    // controller's health-check ladder. Alerts only evaluate at
+    // measure-window boundaries, after the controller exists.
     sys.alerts().setEscalation(
         [&ctl](const AlertRule &, const std::string &) {
-            ctl.noteCriticalAlert();
+            ctl->noteCriticalAlert();
         });
-    const SysSnapshot before = sys.snapshot();
-    const auto periodic = runWithPeriodicStats(
-        sys, total, tel, [&](InstCount n) { ctl.runFor(n); });
+    if (!sess.warmup(ep.warmupInsts, [&](InstCount n) { sys.run(n); },
+                     makeCtl) ||
+        !sess.measure(total, tel,
+                      [&](InstCount n) { ctl->runFor(n); }))
+        return sess.preempted();
     // A record opened by the final decision has no realization window
     // left; count it dropped before any stats or traces are read.
-    ctl.finalizeAudit();
+    ctl->finalizeAudit();
     std::printf("app            %s (target %.1f years, %s)\n",
                 app.c_str(), mp.objective.minLifetimeYears,
                 model.c_str());
     std::printf("decisions      %zu (resamplings %llu, "
                 "fallbacks %llu)\n",
-                ctl.decisions().size(),
-                static_cast<unsigned long long>(ctl.resamplings()),
-                static_cast<unsigned long long>(ctl.fallbacks()));
+                ctl->decisions().size(),
+                static_cast<unsigned long long>(ctl->resamplings()),
+                static_cast<unsigned long long>(ctl->fallbacks()));
     std::printf("audit          %llu closed, %llu dropped, "
                 "regret %.4f\n",
-                static_cast<unsigned long long>(ctl.auditClosed()),
-                static_cast<unsigned long long>(ctl.auditDropped()),
-                ctl.cumulativeRegret());
+                static_cast<unsigned long long>(ctl->auditClosed()),
+                static_cast<unsigned long long>(ctl->auditDropped()),
+                ctl->cumulativeRegret());
     std::printf("chosen         %s\n",
-                toString(ctl.currentConfig()).c_str());
-    printMetrics(sys.metricsSince(before));
+                toString(ctl->currentConfig()).c_str());
+    printMetrics(sys.metricsSince(sess.ds.s0));
     if (faults.any())
-        printFaultSummary(inj, &ctl);
-    if (tel.any())
-        return finishTelemetry(tel, "mct", app, sys, &ctl, periodic,
-                               rid);
-    return 0;
+        printFaultSummary(inj, ctl.get());
+    sess.printSummary();
+    return publishTelemetry(tel, "mct", app, sys, ctl.get(),
+                            sess.ds.periodic, rid);
 }
 
 int

@@ -3,8 +3,8 @@
  * mct_report — analyze and regression-gate mct_sim telemetry.
  *
  * Usage:
- *   mct_report show --stats-json FILE [--spans FILE] [--profile FILE]
- *                   [--host FILE] [--windows N]
+ *   mct_report show --stats-json FILE [--spans FILE] [--host FILE]
+ *                   [--windows N]
  *   mct_report explain [RUN.json] --provenance FILE [--decisions N]
  *   mct_report diff --base FILE --new FILE [--thresholds FILE]
  *                   [--out BENCH_report.json]
@@ -16,7 +16,7 @@
  *
  * `show` renders one run: objectives, the lat.* latency-attribution
  * breakdown with p50/p90/p99, per-window tables, event counts, and
- * optional span and stage-timing summaries. --host renders an
+ * an optional span summary. --host renders an
  * mct-host-v1 document (mct_sim --host-profile-out, or a bench
  * harness --profile-out): sim.mips throughput, wall/CPU seconds, RSS
  * high-water, and the per-stage host attribution table.
@@ -86,8 +86,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: mct_report show --stats-json FILE [--spans FILE]\n"
-        "                       [--profile FILE] [--host FILE]\n"
-        "                       [--windows N]\n"
+        "                       [--host FILE] [--windows N]\n"
         "       mct_report explain [RUN.json] --provenance FILE\n"
         "                       [--decisions N]\n"
         "       mct_report diff --base FILE --new FILE\n"
@@ -116,7 +115,7 @@ flagValue(int argc, char **argv, int &i, std::string &out)
 int
 cmdShow(int argc, char **argv)
 {
-    std::string statsPath, spansPath, profilePath, hostPath;
+    std::string statsPath, spansPath, hostPath;
     std::size_t windows = 8;
     for (int i = 2; i < argc; ++i) {
         std::string v;
@@ -125,9 +124,6 @@ cmdShow(int argc, char **argv)
                 return 2;
         } else if (!std::strcmp(argv[i], "--spans")) {
             if (!flagValue(argc, argv, i, spansPath))
-                return 2;
-        } else if (!std::strcmp(argv[i], "--profile")) {
-            if (!flagValue(argc, argv, i, profilePath))
                 return 2;
         } else if (!std::strcmp(argv[i], "--host")) {
             if (!flagValue(argc, argv, i, hostPath))
@@ -161,15 +157,6 @@ cmdShow(int argc, char **argv)
         }
         std::cout << "\n";
         renderSpans(std::cout, spans);
-    }
-    if (!profilePath.empty()) {
-        Profile prof;
-        if (!loadProfile(profilePath, prof, err)) {
-            std::fprintf(stderr, "error: %s\n", err.c_str());
-            return 3;
-        }
-        std::cout << "\nself-profile:\n";
-        renderProfile(std::cout, prof);
     }
     if (!hostPath.empty()) {
         RunData host;

@@ -1894,33 +1894,6 @@ renderExplain(std::ostream &os, const ProvSet &prov,
 }
 
 void
-renderProfile(std::ostream &os, const Profile &profile)
-{
-    double total = 0.0;
-    bool hasCpu = false;
-    for (const ProfileStage &s : profile.stages) {
-        total += s.seconds;
-        hasCpu = hasCpu || s.cpuSeconds > 0.0;
-    }
-    TextTable t;
-    if (hasCpu)
-        t.header({"stage", "seconds", "cpu", "calls", "share"});
-    else
-        t.header({"stage", "seconds", "calls", "share"});
-    for (const ProfileStage &s : profile.stages) {
-        const std::string share =
-            fmt(total > 0 ? s.seconds / total * 100.0 : 0.0, 1) + "%";
-        if (hasCpu)
-            t.row({s.name, fmt(s.seconds, 3), fmt(s.cpuSeconds, 3),
-                   std::to_string(s.calls), share});
-        else
-            t.row({s.name, fmt(s.seconds, 3), std::to_string(s.calls),
-                   share});
-    }
-    t.print(os);
-}
-
-void
 renderHostSummary(std::ostream &os, const RunData &run,
                   const Profile &profile)
 {
@@ -1943,10 +1916,21 @@ renderHostSummary(std::ostream &os, const RunData &run,
        << fmt(scalar("sim.host.rss_hwm_kb"), 0) << "\n";
     os << "  instructions             "
        << fmt(scalar("sim.host.instructions"), 0) << "\n";
-    if (!profile.stages.empty()) {
-        os << "host attribution:\n";
-        renderProfile(os, profile);
+    if (profile.stages.empty())
+        return;
+    double total = 0.0;
+    for (const ProfileStage &s : profile.stages)
+        total += s.seconds;
+    TextTable t;
+    t.header({"stage", "seconds", "cpu", "calls", "share"});
+    for (const ProfileStage &s : profile.stages) {
+        const std::string share =
+            fmt(total > 0 ? s.seconds / total * 100.0 : 0.0, 1) + "%";
+        t.row({s.name, fmt(s.seconds, 3), fmt(s.cpuSeconds, 3),
+               std::to_string(s.calls), share});
     }
+    os << "host attribution:\n";
+    t.print(os);
 }
 
 } // namespace mct::report

@@ -380,8 +380,8 @@ struct Profile
 
 /**
  * Load the "stages" array of an mct-host-v1 document: an mct_sim
- * --host-profile-out file or a bench harness profile (--profile-out /
- * MCT_BENCH_PROFILE). cpu_seconds is optional.
+ * --host-profile-out file or a bench harness --profile-out file.
+ * cpu_seconds is optional.
  */
 [[nodiscard]] bool loadProfile(const std::string &path, Profile &out,
                                std::string &err);
@@ -554,9 +554,6 @@ void renderSpans(std::ostream &os, const SpanSet &spans);
 void renderExplain(std::ostream &os, const ProvSet &prov,
                    const std::vector<std::string> &featureNames,
                    std::size_t maxDecisions);
-
-/** Stage-timing table (adds a cpu column when any stage has one). */
-void renderProfile(std::ostream &os, const Profile &profile);
 
 /**
  * Host-telemetry summary for one run: simulator throughput
