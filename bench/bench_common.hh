@@ -82,7 +82,6 @@ inline void
 armManifestDump()
 {
     std::atexit(+[] {
-        const std::string &path = manifestDumpPath();
         RunManifest m;
         m.mode = "bench";
         m.app = benchName();
@@ -90,26 +89,20 @@ armManifestDump()
         m.fingerprint = "mct-bench-fp-v1;bench=" + m.app +
                         ";profile=" + profileDumpPath() +
                         ";summary=" + (summary ? summary : "");
-        m.runId = manifestRunId(m.fingerprint);
         const auto note = [&](const char *kind, const char *schema,
                               const std::string &artifact) {
-            if (artifact.empty())
-                return;
-            ManifestArtifact a;
-            a.kind = kind;
-            a.schema = schema;
-            if (!checksumFile(artifact, a.checksum, a.bytes))
-                return; // dump never happened; keep the manifest honest
-            a.path = manifestRelative(path, artifact);
-            m.artifacts.push_back(std::move(a));
+            if (!artifact.empty())
+                m.artifacts.push_back({kind, schema, artifact, 0, 0});
         };
         note("host", "mct-host-v1", profileDumpPath());
         note("bench_summary", "mct-bench-summary-v1",
              summary ? summary : "");
-        AtomicFile f(path);
-        writeManifestJson(f.stream(), m);
-        if (!f.commit())
-            std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
+        // A dump that never happened is left out, keeping the
+        // manifest honest.
+        std::string err;
+        if (!publishManifest(manifestDumpPath(), m,
+                             MissingArtifact::Skip, err))
+            std::fprintf(stderr, "%s\n", err.c_str());
     });
 }
 
@@ -119,9 +112,10 @@ armProfileDump()
 {
     std::atexit(+[] {
         const std::string &path = profileDumpPath();
-        std::ofstream os(path);
-        if (os)
-            profiler().writeJson(os, "bench", benchName(), "");
+        AtomicFile f(path);
+        profiler().writeJson(f.stream(), "bench", benchName(), "");
+        if (!f.commit())
+            std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
     });
 }
 

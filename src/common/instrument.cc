@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <ctime>
 #include <fstream>
+#include <iomanip>
 #include <ostream>
 #include <sstream>
 
@@ -42,30 +43,35 @@ LogHistogram::bucketLow(std::size_t i)
 double
 LogHistogram::percentile(double p) const
 {
-    if (n == 0)
+    return logBucketPercentile(buckets_, n, p);
+}
+
+double
+logBucketPercentile(std::span<const std::uint64_t> buckets,
+                    std::uint64_t count, double p)
+{
+    if (count == 0)
         return 0.0;
     p = std::clamp(p, 0.0, 1.0);
-    // Target rank in (0, n]; rank r falls in the bucket holding the
+    // Target rank in (0, count]; rank r falls in the bucket holding the
     // r-th smallest observation, placed uniformly within its bounds.
-    const double target = p * static_cast<double>(n);
+    const double target = p * static_cast<double>(count);
     std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < numBuckets; ++i) {
-        if (buckets_[i] == 0)
+    for (std::size_t i = 0; i < buckets.size(); ++i) {
+        if (buckets[i] == 0)
             continue;
-        cum += buckets_[i];
+        cum += buckets[i];
         if (static_cast<double>(cum) >= target) {
-            const double lo = bucketLow(i);
-            const double hi =
-                i + 1 < numBuckets ? bucketLow(i + 1) : lo * 2.0;
+            const double lo = LogHistogram::bucketLow(i);
+            const double hi = LogHistogram::bucketLow(i + 1);
             const double into =
-                target - static_cast<double>(cum - buckets_[i]);
+                target - static_cast<double>(cum - buckets[i]);
             const double frac = std::clamp(
-                into / static_cast<double>(buckets_[i]), 0.0, 1.0);
+                into / static_cast<double>(buckets[i]), 0.0, 1.0);
             return lo + (hi - lo) * frac;
         }
     }
-    // Unreachable when counts are consistent; fall back to the top.
-    return bucketLow(numBuckets - 1) * 2.0;
+    return LogHistogram::bucketLow(buckets.size());
 }
 
 void
@@ -220,6 +226,32 @@ StatRegistry::snapshot(StatScope scope) const
         snap.emplace(path, std::move(v));
     }
     return snap;
+}
+
+void
+StatRegistry::print(std::ostream &os, StatScope scope) const
+{
+    std::vector<std::array<std::string, 3>> rows;
+    std::size_t pathW = 0, valueW = 0;
+    for (const auto &[path, v] : snapshot(scope)) {
+        std::ostringstream val;
+        if (v.kind == StatKind::Histogram)
+            val << v.count;
+        else if (v.kind == StatKind::Counter)
+            val << static_cast<std::uint64_t>(v.num);
+        else
+            val << std::setprecision(6) << v.num;
+        rows.push_back({path, val.str(), description(path)});
+        pathW = std::max(pathW, path.size());
+        valueW = std::max(valueW, rows.back()[1].size());
+    }
+    for (const auto &[path, value, desc] : rows) {
+        os << std::left << std::setw(static_cast<int>(pathW) + 2) << path
+           << std::right << std::setw(static_cast<int>(valueW)) << value;
+        if (!desc.empty())
+            os << "  # " << desc;
+        os << '\n';
+    }
 }
 
 StatSnapshot

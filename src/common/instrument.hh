@@ -42,6 +42,7 @@
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -96,14 +97,7 @@ class LogHistogram
     /** Inclusive lower bound of bucket @p i. */
     static double bucketLow(std::size_t i);
 
-    /**
-     * Value at quantile @p p in [0, 1], assuming observations are
-     * uniformly distributed within each bucket: the target rank
-     * p * count() is located in its bucket and linearly interpolated
-     * between the bucket's bounds. Exact for distributions that fill
-     * buckets uniformly; within one bucket width otherwise. Returns 0
-     * when empty.
-     */
+    /** Value at quantile @p p (see logBucketPercentile). */
     double percentile(double p) const;
 
     /** Forget everything. */
@@ -124,6 +118,19 @@ class LogHistogram
     static void io(Ar &ar, Self &self);
 };
 
+/**
+ * Value at quantile @p p in [0, 1] of @p count observations held in
+ * dense LogHistogram buckets, assuming observations are uniformly
+ * distributed within each bucket: the target rank p * count is
+ * located in its bucket and linearly interpolated between the
+ * bucket's bounds. Exact for distributions that fill buckets
+ * uniformly; within one bucket width otherwise. Returns 0 when
+ * @p count is 0, and the top of the last bucket when the buckets hold
+ * fewer than @p count observations.
+ */
+double logBucketPercentile(std::span<const std::uint64_t> buckets,
+                           std::uint64_t count, double p);
+
 /** One stat's value as captured by a snapshot. */
 struct StatValue
 {
@@ -137,6 +144,18 @@ struct StatValue
 
     /** Histogram buckets, trimmed of trailing zeros (empty otherwise). */
     std::vector<std::uint64_t> buckets;
+
+    /** Histogram mean observation (0 when empty). */
+    double mean() const
+    {
+        return count ? num / static_cast<double>(count) : 0.0;
+    }
+
+    /** Histogram value at quantile @p p (see logBucketPercentile). */
+    double percentile(double p) const
+    {
+        return logBucketPercentile(buckets, count, p);
+    }
 };
 
 /** A full registry capture, keyed by dotted path (sorted, so every
@@ -242,6 +261,13 @@ class StatRegistry
 
     /** Capture the registered stats selected by @p scope. */
     StatSnapshot snapshot(StatScope scope = StatScope::Sim) const;
+
+    /**
+     * The snapshot of @p scope as aligned text, one stat per line:
+     * path, value (a histogram shows its observation count) and the
+     * registered description as a "# ..." annotation.
+     */
+    void print(std::ostream &os, StatScope scope = StatScope::Sim) const;
 
     /**
      * Component-wise difference of two snapshots of the same
@@ -543,6 +569,9 @@ class SpanTrace
 
     /** Ring capacity (0 when disabled). */
     std::size_t capacity() const { return ring.capacity(); }
+
+    /** Held spans, oldest first. */
+    std::vector<SpanRecord> records() const { return ring.items(); }
 
     /** One JSON object per line, integer fields only (see docs). */
     void writeJsonl(std::ostream &os) const;

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "common/atomic_file.hh"
 #include "common/json.hh"
 #include "common/serialize.hh"
 
@@ -65,6 +66,24 @@ checksumHex(std::uint64_t v)
     return out;
 }
 
+bool
+parseChecksumHex(const std::string &hex, std::uint64_t &out)
+{
+    if (hex.size() != 16)
+        return false;
+    std::uint64_t v = 0;
+    for (const char c : hex) {
+        if (c >= '0' && c <= '9')
+            v = v << 4 | static_cast<std::uint64_t>(c - '0');
+        else if (c >= 'a' && c <= 'f')
+            v = v << 4 | static_cast<std::uint64_t>(c - 'a' + 10);
+        else
+            return false;
+    }
+    out = v;
+    return true;
+}
+
 std::string
 manifestRunId(const std::string &fingerprint)
 {
@@ -82,6 +101,18 @@ manifestRelative(const std::string &manifestPath,
     if (artifactPath.compare(0, dir.size(), dir) == 0)
         return artifactPath.substr(dir.size());
     return artifactPath;
+}
+
+std::string
+manifestResolve(const std::string &manifestPath,
+                const std::string &artifactPath)
+{
+    if (!artifactPath.empty() && artifactPath[0] == '/')
+        return artifactPath;
+    const std::size_t slash = manifestPath.find_last_of('/');
+    if (slash == std::string::npos)
+        return artifactPath;
+    return manifestPath.substr(0, slash + 1) + artifactPath;
 }
 
 void
@@ -119,6 +150,32 @@ writeManifestJson(std::ostream &os, const RunManifest &m)
     w.endArray();
     w.endObject();
     os << '\n';
+}
+
+bool
+publishManifest(const std::string &path, RunManifest &m,
+                MissingArtifact missing, std::string &err)
+{
+    m.runId = manifestRunId(m.fingerprint);
+    std::vector<ManifestArtifact> kept;
+    for (ManifestArtifact &a : m.artifacts) {
+        if (!checksumFile(a.path, a.checksum, a.bytes)) {
+            if (missing == MissingArtifact::Skip)
+                continue;
+            err = "cannot checksum '" + a.path + "'";
+            return false;
+        }
+        a.path = manifestRelative(path, a.path);
+        kept.push_back(std::move(a));
+    }
+    m.artifacts = std::move(kept);
+    AtomicFile f(path);
+    writeManifestJson(f.stream(), m);
+    if (!f.commit()) {
+        err = "cannot write '" + path + "'";
+        return false;
+    }
+    return true;
 }
 
 const std::vector<std::string> &

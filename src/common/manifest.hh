@@ -63,6 +63,11 @@ struct RunManifest
 /** 16-digit lowercase hex spelling of a checksum. */
 std::string checksumHex(std::uint64_t v);
 
+/** Inverse of checksumHex: false unless @p hex is exactly 16
+ *  lowercase hex digits. */
+[[nodiscard]] bool parseChecksumHex(const std::string &hex,
+                                    std::uint64_t &out);
+
 /** Deterministic run id: FNV-1a of the fingerprint string, in hex. */
 std::string manifestRunId(const std::string &fingerprint);
 
@@ -75,11 +80,37 @@ std::string manifestRunId(const std::string &fingerprint);
 std::string manifestRelative(const std::string &manifestPath,
                              const std::string &artifactPath);
 
+/** An artifact path as recorded in the manifest at @p manifestPath,
+ *  resolved against the manifest's directory (absolute paths stay). */
+std::string manifestResolve(const std::string &manifestPath,
+                            const std::string &artifactPath);
+
 /**
  * Emit @p m as an mct-manifest-v1 document. Artifacts are sorted by
  * path so the bytes never depend on emission order.
  */
 void writeManifestJson(std::ostream &os, const RunManifest &m);
+
+/** What publishManifest does with an artifact it cannot read. */
+enum class MissingArtifact
+{
+    Fail, ///< the publish fails
+    Skip  ///< the artifact is left out of the manifest
+};
+
+/**
+ * Publish @p m at @p path: the run id is derived from the
+ * fingerprint, every artifact is checksummed at its on-disk path and
+ * its path made relative to the manifest's directory, and the
+ * document is written atomically. The checksums attest to the
+ * published bytes, not to what a writer intended. False + @p err
+ * naming the file when an artifact cannot be read (under
+ * MissingArtifact::Fail) or the manifest cannot be written.
+ */
+[[nodiscard]] bool publishManifest(const std::string &path,
+                                   RunManifest &m,
+                                   MissingArtifact missing,
+                                   std::string &err);
 
 /** Declared key set of mct-manifest-v1 (doc-contract lint + tests). */
 const std::vector<std::string> &manifestDocKeys();

@@ -3,7 +3,7 @@
  * Tests for the unified instrumentation layer: StatRegistry snapshots
  * and deltas, LogHistogram bucketing, the EventTrace ring buffer and
  * its JSONL / Chrome serializations, System and MctController
- * integration, the HostProfiler, and StatsReport::print alignment.
+ * integration, the HostProfiler, and StatRegistry::print alignment.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "common/instrument.hh"
 #include "common/serialize.hh"
 #include "mct/controller.hh"
-#include "sim/stats_report.hh"
 #include "sim/system.hh"
 
 namespace mct
@@ -1032,19 +1031,18 @@ TEST(MetricTimeline, TimelineAndAlertStatsAreHostScoped)
 }
 
 // --------------------------------------------------------------------
-// StatsReport::print alignment
+// StatRegistry::print alignment
 // --------------------------------------------------------------------
 
-TEST(StatsReport, PrintAlignsColumns)
+TEST(StatRegistry, PrintAlignsColumns)
 {
-    StatsReport r;
-    r.add("cpu.ipc", 1.5);
-    r.add("memctrl.reads", std::uint64_t(42), "completed");
-    r.add("x", std::uint64_t(123456));
-    ASSERT_EQ(r.size(), 3u);
+    StatRegistry reg;
+    reg.addGauge("cpu.ipc", [] { return 1.5; });
+    reg.addCounter("memctrl.reads", [] { return 42u; }, "completed");
+    reg.addCounter("x", [] { return 123456u; });
 
     std::ostringstream os;
-    r.print(os);
+    reg.print(os);
     // Paths left-justify to the longest path plus two; values
     // right-justify to the widest value; annotations follow "  # ".
     EXPECT_EQ(os.str(), "cpu.ipc           1.5\n"

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the mct_report library: the JSON reader, the stats /
- * span / profile loaders, the thresholds grammar, percentile
- * reconstruction from serialized buckets, and the diff gates.
+ * Tests for the mct_report library: the JSON reader, the loaders
+ * (round trips through the simulator's own writers, and their named
+ * errors on bad input), the thresholds grammar, and the diff gates.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +17,11 @@
 
 #include <unistd.h>
 
+#include "common/json.hh"
 #include "common/manifest.hh"
+#include "common/serialize.hh"
 #include "report.hh"
+#include "sim/system.hh"
 
 namespace mct::report
 {
@@ -84,29 +87,6 @@ TEST(Json, RejectsMalformedInputWithOffset)
 }
 
 // --------------------------------------------------------------------
-// RunHistogram percentiles (mirrors LogHistogram::percentile)
-// --------------------------------------------------------------------
-
-TEST(RunHistogram, PercentileInterpolatesSerializedBuckets)
-{
-    // Four observations in bucket [1, 2).
-    RunHistogram h;
-    h.count = 4;
-    h.buckets = {{1.0, 4}};
-    EXPECT_DOUBLE_EQ(h.percentile(0.5), 1.5);
-    EXPECT_DOUBLE_EQ(h.percentile(1.0), 2.0);
-
-    // Bucket 0 spans [0, 1); higher buckets double their low edge.
-    RunHistogram g;
-    g.count = 4;
-    g.buckets = {{0.0, 2}, {2.0, 2}};
-    EXPECT_DOUBLE_EQ(g.percentile(0.25), 0.5);
-    EXPECT_DOUBLE_EQ(g.percentile(0.75), 3.0);
-
-    EXPECT_DOUBLE_EQ(RunHistogram{}.percentile(0.9), 0.0);
-}
-
-// --------------------------------------------------------------------
 // Loaders
 // --------------------------------------------------------------------
 
@@ -134,9 +114,12 @@ TEST(Loaders, SnapshotsSplitScalarsAndHistograms)
     ASSERT_TRUE(loadSnapshots(f.path(), run, err)) << err;
     EXPECT_EQ(run.app, "lbm");
     EXPECT_EQ(run.mode, "eval");
-    EXPECT_DOUBLE_EQ(run.finalScalars.at("sim.objective.ipc"), 0.5);
-    ASSERT_EQ(run.finalHists.count("lat.mshr.ns"), 1u);
-    EXPECT_EQ(run.finalHists.at("lat.mshr.ns").count, 4u);
+    EXPECT_DOUBLE_EQ(run.scalar("sim.objective.ipc"), 0.5);
+    const StatValue &h = run.final.at("lat.mshr.ns");
+    EXPECT_EQ(h.kind, StatKind::Histogram);
+    EXPECT_EQ(h.count, 4u);
+    EXPECT_EQ(h.buckets, (std::vector<std::uint64_t>{0, 4}));
+    EXPECT_DOUBLE_EQ(h.percentile(0.5), 1.5);
     ASSERT_EQ(run.windows.size(), 1u);
     EXPECT_EQ(run.windows[0].inst, 500u);
     EXPECT_DOUBLE_EQ(run.eventCounts.at("span_complete"), 3.0);
@@ -157,15 +140,24 @@ TEST(Loaders, SpansConvertPicosecondsToNanoseconds)
         "{\"id\":64,\"addr\":4096,\"write\":0,\"hit_level\":0,"
         "\"inst\":100,\"begin_ps\":1000,\"end_ps\":209000,"
         "\"stages\":{\"l1\":[1000,2000],\"bank\":[2000,109000]}}\n");
-    SpanSet set;
+    std::vector<SpanRecord> spans;
     std::string err;
-    ASSERT_TRUE(loadSpans(f.path(), set, err)) << err;
-    ASSERT_EQ(set.spans.size(), 1u);
-    const SpanRow &s = set.spans[0];
+    ASSERT_TRUE(loadSpans(f.path(), spans, err)) << err;
+    ASSERT_EQ(spans.size(), 1u);
+    const SpanRecord &s = spans[0];
     EXPECT_EQ(s.id, 64u);
-    EXPECT_DOUBLE_EQ(s.totalNs, 208.0);
-    EXPECT_DOUBLE_EQ(s.stageNs.at("l1"), 1.0);
-    EXPECT_DOUBLE_EQ(s.stageNs.at("bank"), 107.0);
+    EXPECT_TRUE(s.has(SpanStage::L1));
+    EXPECT_TRUE(s.has(SpanStage::Bank));
+    EXPECT_FALSE(s.has(SpanStage::Device));
+    EXPECT_EQ(s.exit[static_cast<std::size_t>(SpanStage::Bank)], 109000u);
+
+    std::ostringstream os;
+    renderSpans(os, spans);
+    const std::string out = os.str();
+    EXPECT_NE(out.find("memory     1      208.0"), std::string::npos)
+        << out;
+    EXPECT_NE(out.find("bank   1      107.0"), std::string::npos) << out;
+    EXPECT_NE(out.find("l1     1      1.0"), std::string::npos) << out;
 }
 
 // --------------------------------------------------------------------
@@ -198,18 +190,22 @@ TEST(HostDoc, LoadsAsBothSnapshotsAndProfile)
     std::string err;
     ASSERT_TRUE(loadSnapshots(f.path(), run, err)) << err;
     EXPECT_EQ(run.mode, "eval");
-    EXPECT_DOUBLE_EQ(run.finalScalars.at("sim.mips"), 17.5);
-    EXPECT_DOUBLE_EQ(run.finalScalars.at("sim.host.rss_hwm_kb"),
-                     4096.0);
+    EXPECT_DOUBLE_EQ(run.scalar("sim.mips"), 17.5);
+    EXPECT_DOUBLE_EQ(run.scalar("sim.host.rss_hwm_kb"), 4096.0);
     ASSERT_EQ(run.windows.size(), 1u);
 
-    Profile prof;
-    ASSERT_TRUE(loadProfile(f.path(), prof, err)) << err;
-    ASSERT_EQ(prof.stages.size(), 2u);
-    EXPECT_EQ(prof.stages[1].name, "step");
-    EXPECT_DOUBLE_EQ(prof.stages[1].seconds, 1.5);
-    EXPECT_DOUBLE_EQ(prof.stages[1].cpuSeconds, 1.0);
-    EXPECT_EQ(prof.stages[1].calls, 20u);
+    // The same pass reads the per-stage host time.
+    ASSERT_EQ(run.stages.size(), 2u);
+    EXPECT_EQ(run.stages[1].name, "step");
+    EXPECT_DOUBLE_EQ(run.stages[1].wallSeconds, 1.5);
+    EXPECT_DOUBLE_EQ(run.stages[1].cpuSeconds, 1.0);
+    EXPECT_EQ(run.stages[1].calls, 20u);
+
+    // A host document without its stages is malformed.
+    const TempFile bare("{\"schema\":\"mct-host-v1\",\"final\":{}}");
+    EXPECT_FALSE(loadSnapshots(bare.path(), run, err));
+    EXPECT_NE(err.find("missing 'stages' array"), std::string::npos)
+        << err;
 }
 
 TEST(HostDoc, SimMipsGateTripsOnlyOnCatastrophicSlowdown)
@@ -299,7 +295,7 @@ TEST(Manifest, LoadsAndVerifiesRoundTrip)
     const TempFile mf(
         manifestText("r1", "lbm", 1, {{"stats", stats.path()}}));
 
-    ManifestData m;
+    RunManifest m;
     std::string err;
     ASSERT_TRUE(loadManifest(mf.path(), m, err)) << err;
     EXPECT_EQ(m.runId, "r1");
@@ -307,23 +303,24 @@ TEST(Manifest, LoadsAndVerifiesRoundTrip)
     EXPECT_EQ(m.app, "lbm");
     EXPECT_EQ(m.seed, 1u);
     ASSERT_EQ(m.artifacts.size(), 1u);
-    ASSERT_NE(m.artifact("stats"), nullptr);
-    EXPECT_EQ(m.artifact("spans"), nullptr);
-    EXPECT_EQ(m.artifactPath(*m.artifact("stats")), stats.path());
-    EXPECT_TRUE(verifyManifest(m, err)) << err;
+    ASSERT_NE(findArtifact(m, "stats"), nullptr);
+    EXPECT_EQ(findArtifact(m, "spans"), nullptr);
+    EXPECT_EQ(manifestResolve(mf.path(), findArtifact(m, "stats")->path),
+              stats.path());
+    EXPECT_TRUE(verifyManifest(mf.path(), m, err)) << err;
 
     std::string key;
-    ASSERT_TRUE(m.groupKey("app", key));
+    ASSERT_TRUE(manifestGroupKey(m, "app", key));
     EXPECT_EQ(key, "lbm");
-    ASSERT_TRUE(m.groupKey("seed", key));
+    ASSERT_TRUE(manifestGroupKey(m, "seed", key));
     EXPECT_EQ(key, "1");
-    EXPECT_FALSE(m.groupKey("nonsense", key));
+    EXPECT_FALSE(manifestGroupKey(m, "nonsense", key));
 }
 
 TEST(Manifest, RejectsWrongSchema)
 {
     const TempFile mf("{\"schema\":\"mct-stats-v1\",\"artifacts\":[]}");
-    ManifestData m;
+    RunManifest m;
     std::string err;
     EXPECT_FALSE(loadManifest(mf.path(), m, err));
     EXPECT_NE(err.find("schema"), std::string::npos);
@@ -338,10 +335,10 @@ TEST(Manifest, TamperedArtifactIsANamedIntegrityError)
     // Flip the artifact under the manifest's feet.
     std::ofstream(stats.path(), std::ios::binary) << "tampered";
 
-    ManifestData m;
+    RunManifest m;
     std::string err;
     ASSERT_TRUE(loadManifest(mf.path(), m, err)) << err;
-    EXPECT_FALSE(verifyManifest(m, err));
+    EXPECT_FALSE(verifyManifest(mf.path(), m, err));
     EXPECT_EQ(err.rfind("integrity error:", 0), 0u) << err;
 
     // ... which aggregate surfaces verbatim (and --no-verify skips).
@@ -397,11 +394,11 @@ TEST(Fleet, AggregatesMergesAndStaysPermutationIdentical)
     const TempFile doc(fwd.str());
     RunData run;
     ASSERT_TRUE(loadSnapshots(doc.path(), run, err)) << err;
-    EXPECT_DOUBLE_EQ(run.finalScalars.at("sim.objective.ipc"), 1.5);
-    EXPECT_DOUBLE_EQ(run.finalScalars.at("sim.fleet.runs"), 2.0);
-    EXPECT_DOUBLE_EQ(run.finalScalars.at("fleet.sim.objective.ipc.max"),
-                     2.0);
-    EXPECT_EQ(run.kinds.at("work.done"), "counter");
+    EXPECT_DOUBLE_EQ(run.scalar("sim.objective.ipc"), 1.5);
+    EXPECT_DOUBLE_EQ(run.scalar("sim.fleet.runs"), 2.0);
+    EXPECT_DOUBLE_EQ(run.scalar("fleet.sim.objective.ipc.max"), 2.0);
+    EXPECT_EQ(run.final.at("work.done").kind, StatKind::Counter);
+    EXPECT_EQ(run.final.at("sim.objective.ipc").kind, StatKind::Gauge);
 }
 
 TEST(Fleet, SingleRunAggregateIsIdentity)
@@ -476,6 +473,276 @@ TEST(Fleet, DocKeySetsCoverTheEmittedSpellings)
     EXPECT_NE(std::find(fleetDocKeys().begin(), fleetDocKeys().end(),
                         "sim.fleet.runs"),
               fleetDocKeys().end());
+}
+
+// --------------------------------------------------------------------
+// Round trips: each loader fills the type whose writer produced the
+// bytes, and gets back what was written.
+// --------------------------------------------------------------------
+
+TEST(RoundTrip, ProvenanceJsonlLoadsEqualRecords)
+{
+    ProvenanceRecord full;
+    full.seq = 3;
+    full.phase = 2;
+    full.inst = 1900000;
+    full.model = "gradient boosting";
+    full.configKey = "{eager(4) fast=3.0}";
+    full.chosen = 72;
+    full.sampledConfigs = 77;
+    full.minLifetimeYears = 8;
+    full.ipcFraction = 0.95;
+    full.safetyMargin = 1.15;
+    full.objectives[0] = {0.55, 0.0074, 0, 0, false};
+    full.objectives[1] = {9.63, 0.17, 0, 0, false};
+    full.objectives[2] = {0.0057, 0.0002, 0, 0, false};
+    full.runnerUps.push_back({76, 0.5639, 25.58, 0.00632, true});
+    full.runnerUps.push_back({4294967295u, 0.1, 1.5, 0.2, false});
+    full.bestSampledIpc = 0.9855;
+    full.attribution = {std::vector<double>{0.344, 0, 0.31},
+                        std::vector<double>{0.812},
+                        std::vector<double>{0.1, 0.2}};
+    closeProvenanceRecord(full, 0.229, 6.5879, 0.0136, 2500000);
+    full.cumRegret = 0.7566;
+
+    ProvenanceRecord fallback;
+    fallback.seq = 4;
+    fallback.configKey = "baseline";
+    fallback.chosen = -1;
+    fallback.fallback = true;
+    fallback.model = "qlasso";
+
+    ProvenanceTrace t;
+    t.enable(4);
+    t.record(full);
+    t.record(fallback);
+    std::ostringstream os;
+    t.writeJsonl(os);
+    const TempFile f(os.str());
+
+    std::vector<ProvenanceRecord> got;
+    std::string err;
+    ASSERT_TRUE(loadProvenance(f.path(), got, err)) << err;
+    const std::vector<ProvenanceRecord> want = t.records();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        // The checkpoint encoding covers every field bit for bit.
+        Serializer a, b;
+        want[i].serialize(a);
+        got[i].serialize(b);
+        EXPECT_EQ(a.data(), b.data()) << "record " << i;
+    }
+    EXPECT_EQ(got[1].chosen, -1);
+    EXPECT_TRUE(got[1].fallback);
+    EXPECT_EQ(got[0].runnerUps[1].config, 4294967295u);
+}
+
+TEST(RoundTrip, SpanJsonlLoadsEqualRecords)
+{
+    SystemParams sp;
+    System sys("lbm", sp, staticBaselineConfig());
+    sys.enableSpans(16, 4096);
+    sys.run(40000);
+    std::ostringstream os;
+    sys.spanTrace().writeJsonl(os);
+    const TempFile f(os.str());
+
+    std::vector<SpanRecord> got;
+    std::string err;
+    ASSERT_TRUE(loadSpans(f.path(), got, err)) << err;
+    const std::vector<SpanRecord> want = sys.spanTrace().records();
+    ASSERT_FALSE(want.empty());
+    ASSERT_EQ(got.size(), want.size());
+    bool sawNvm = false;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].id, want[i].id);
+        EXPECT_EQ(got[i].addr, want[i].addr);
+        EXPECT_EQ(got[i].isWrite, want[i].isWrite);
+        EXPECT_EQ(got[i].hitLevel, want[i].hitLevel);
+        EXPECT_EQ(got[i].inst, want[i].inst);
+        EXPECT_EQ(got[i].begin, want[i].begin);
+        EXPECT_EQ(got[i].end, want[i].end);
+        EXPECT_EQ(got[i].present, want[i].present);
+        for (std::size_t s = 0; s < numSpanStages; ++s) {
+            if (!want[i].has(static_cast<SpanStage>(s)))
+                continue;
+            EXPECT_EQ(got[i].enter[s], want[i].enter[s]);
+            EXPECT_EQ(got[i].exit[s], want[i].exit[s]);
+        }
+        sawNvm = sawNvm || want[i].has(SpanStage::Device);
+    }
+    EXPECT_TRUE(sawNvm);
+}
+
+TEST(RoundTrip, ManifestJsonLoadsEqualManifest)
+{
+    RunManifest m;
+    m.runId = "00ff00ff00ff00ff";
+    m.mode = "mct";
+    m.app = "lbm";
+    m.config = "ba-_ew-_wq-_f1.0_s-_c";
+    m.seed = (1ULL << 63) + 5; // beyond a double's exact integers
+    m.faultPlan = "drift";
+    m.fingerprint = "mct-ckpt-fp-v2;mode=mct";
+    m.artifacts.push_back({"spans", "", "a/sp.jsonl", 1250643,
+                           0xfedcba9876543210ULL});
+    m.artifacts.push_back({"stats", "mct-stats-v1", "s.json", 0, 1});
+    std::ostringstream os;
+    writeManifestJson(os, m);
+    const TempFile f(os.str());
+
+    RunManifest got;
+    std::string err;
+    ASSERT_TRUE(loadManifest(f.path(), got, err)) << err;
+    EXPECT_EQ(got.runId, m.runId);
+    EXPECT_EQ(got.mode, m.mode);
+    EXPECT_EQ(got.app, m.app);
+    EXPECT_EQ(got.config, m.config);
+    EXPECT_EQ(got.seed, m.seed);
+    EXPECT_EQ(got.faultPlan, m.faultPlan);
+    EXPECT_EQ(got.fingerprint, m.fingerprint);
+    ASSERT_EQ(got.artifacts.size(), m.artifacts.size());
+    for (std::size_t i = 0; i < m.artifacts.size(); ++i) {
+        EXPECT_EQ(got.artifacts[i].kind, m.artifacts[i].kind);
+        EXPECT_EQ(got.artifacts[i].schema, m.artifacts[i].schema);
+        EXPECT_EQ(got.artifacts[i].path, m.artifacts[i].path);
+        EXPECT_EQ(got.artifacts[i].bytes, m.artifacts[i].bytes);
+        EXPECT_EQ(got.artifacts[i].checksum, m.artifacts[i].checksum);
+    }
+}
+
+TEST(RoundTrip, WrittenHistogramKeepsItsPercentiles)
+{
+    StatRegistry reg;
+    LogHistogram &h = reg.addHistogram("lat.x.ns");
+    for (const double v : {0.25, 0.5, 1.5, 3.0, 3.5, 90.0, 1000.0, 1e17})
+        h.record(v);
+    for (int i = 0; i < 40; ++i)
+        h.record(17.0 + i);
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginObject();
+    w.kv("schema", "mct-stats-v1");
+    w.key("final");
+    writeSnapshot(w, reg.snapshot());
+    w.endObject();
+    const TempFile f(os.str());
+
+    RunData run;
+    std::string err;
+    ASSERT_TRUE(loadSnapshots(f.path(), run, err)) << err;
+    const StatValue &got = run.final.at("lat.x.ns");
+    EXPECT_EQ(got.count, h.count());
+    EXPECT_EQ(got.mean(), h.mean());
+    for (const double p : {0.5, 0.9, 0.99})
+        EXPECT_EQ(got.percentile(p), h.percentile(p)) << p;
+}
+
+// --------------------------------------------------------------------
+// Loader errors: bad input is a named error, never a crash
+// --------------------------------------------------------------------
+
+TEST(LoaderErrors, UnknownSpanStageIsNamed)
+{
+    const TempFile f("{\"id\":1,\"stages\":{\"l1\":[0,1]}}\n"
+                     "{\"id\":2,\"stages\":{\"l9\":[0,1]}}\n");
+    std::vector<SpanRecord> spans;
+    std::string err;
+    EXPECT_FALSE(loadSpans(f.path(), spans, err));
+    EXPECT_NE(err.find(":2: unknown span stage 'l9'"), std::string::npos)
+        << err;
+}
+
+TEST(LoaderErrors, UnknownObjectiveIsNamed)
+{
+    for (const char *line :
+         {"{\"objectives\":{\"throughput\":{\"pred\":1}}}",
+          "{\"attribution\":{\"throughput\":[0.5]}}"}) {
+        const TempFile f(line);
+        std::vector<ProvenanceRecord> prov;
+        std::string err;
+        EXPECT_FALSE(loadProvenance(f.path(), prov, err)) << line;
+        EXPECT_NE(err.find(":1: unknown objective 'throughput'"),
+                  std::string::npos)
+            << err;
+    }
+}
+
+TEST(LoaderErrors, ConfigAndChosenOutsideTheirTypes)
+{
+    const std::pair<const char *, const char *> cases[] = {
+        {"{\"chosen\":2147483648}",
+         "'chosen' must be an integer in [-2147483648, 2147483647]"},
+        {"{\"chosen\":1.5}",
+         "'chosen' must be an integer in [-2147483648, 2147483647]"},
+        {"{\"runner_ups\":[{\"config\":4294967296}]}",
+         "'config' must be an integer in [0, 4294967295]"},
+        {"{\"runner_ups\":[{\"config\":-1}]}",
+         "'config' must be an integer in [0, 4294967295]"},
+    };
+    for (const auto &[line, want] : cases) {
+        const TempFile f(line);
+        std::vector<ProvenanceRecord> prov;
+        std::string err;
+        EXPECT_FALSE(loadProvenance(f.path(), prov, err)) << line;
+        EXPECT_NE(err.find(want), std::string::npos) << err;
+    }
+}
+
+TEST(LoaderErrors, ManifestChecksumMustBeLowercaseHex)
+{
+    for (const char *hex : {"abc", "00FF00FF00FF00FF", "00ff00ff00ff00fg",
+                            "00ff00ff00ff00ff0"}) {
+        const TempFile f(std::string("{\"schema\":\"mct-manifest-v1\","
+                                     "\"artifacts\":[{\"kind\":\"stats\","
+                                     "\"path\":\"s.json\",\"bytes\":1,"
+                                     "\"fnv1a\":\"") +
+                         hex + "\"}]}");
+        RunManifest m;
+        std::string err;
+        EXPECT_FALSE(loadManifest(f.path(), m, err)) << hex;
+        EXPECT_NE(err.find("is not 16 lowercase hex digits"),
+                  std::string::npos)
+            << err;
+    }
+}
+
+TEST(LoaderErrors, HistogramBucketLowMustBeALog2Bound)
+{
+    for (const char *bucket : {"[3.0,1]", "[0.5,1]", "[1e300,1]",
+                               "[1.0,-1]", "[1.0]"}) {
+        const TempFile f(std::string("{\"schema\":\"mct-stats-v1\","
+                                     "\"final\":{\"lat.q.ns\":{"
+                                     "\"count\":1,\"buckets\":[") +
+                         bucket + "]}}}");
+        RunData run;
+        std::string err;
+        EXPECT_FALSE(loadSnapshots(f.path(), run, err)) << bucket;
+        EXPECT_NE(err.find("histogram 'lat.q.ns'"), std::string::npos)
+            << err;
+    }
+}
+
+TEST(LoaderErrors, TimelineAndAlertCountsMustBeIntegers)
+{
+    const TempFile tl("{\"schema\":\"mct-timeline-v1\",\"capacity\":-1,"
+                      "\"inst\":[],\"series\":{}}");
+    TimelineData t;
+    std::string err;
+    EXPECT_FALSE(loadTimeline(tl.path(), t, err));
+    EXPECT_NE(err.find("'capacity' must be an integer"), std::string::npos)
+        << err;
+    const TempFile insts("{\"schema\":\"mct-timeline-v1\",\"capacity\":4,"
+                         "\"inst\":[1e30],\"series\":{}}");
+    EXPECT_FALSE(loadTimeline(insts.path(), t, err));
+    EXPECT_NE(err.find("'inst' holds 1e30"), std::string::npos) << err;
+
+    const TempFile al("{\"ev\":\"alert_raised\",\"window\":-1}\n");
+    AlertLog log;
+    EXPECT_FALSE(loadAlertLog(al.path(), log, err));
+    EXPECT_NE(err.find(":1: 'window' must be an integer"),
+              std::string::npos)
+        << err;
 }
 
 // --------------------------------------------------------------------
@@ -598,7 +865,7 @@ TEST(Diff, ReportsMetricsMissingFromBase)
     std::string err;
     ASSERT_TRUE(loadSnapshots(base.path(), b, err)) << err;
     c = b;
-    c.finalScalars["memctrl.avg_write_latency_ns"] = 1.0;
+    c.final["memctrl.avg_write_latency_ns"].num = 1.0;
 
     Thresholds th;
     ASSERT_TRUE(parseThresholds(

@@ -12,7 +12,6 @@
 #include <sstream>
 
 #include "sim/multicore.hh"
-#include "sim/stats_report.hh"
 #include "sim/sweep_cache.hh"
 #include "workloads/mixes.hh"
 
@@ -280,25 +279,33 @@ INSTANTIATE_TEST_SUITE_P(
                       "bwaves", "libquantum", "ocean", "gups",
                       "stream"));
 
-TEST(StatsReport, CollectsCoherentCounters)
+TEST(SystemStats, CollectsCoherentCounters)
 {
     SystemParams sp;
     System sys("milc", sp, staticBaselineConfig());
     sys.run(300000);
-    const StatsReport rep = collectStats(sys);
-    EXPECT_GT(rep.size(), 40u); // core + caches + ctrl + banks
+    const StatRegistry &reg = sys.statRegistry();
+    const StatSnapshot snap = reg.snapshot();
+    EXPECT_GT(snap.size(), 40u); // core + caches + ctrl + banks
+    EXPECT_EQ(snap.at("cpu.core0.instructions").num,
+              static_cast<double>(sys.core().stats().instructions));
+    EXPECT_EQ(snap.at("memctrl.writes_completed").num,
+              static_cast<double>(
+                  sys.controller().stats().writesCompleted));
+    EXPECT_EQ(snap.at("nvm.bank00.wear").num,
+              static_cast<double>(sys.device().bank(0).wear));
+    EXPECT_DOUBLE_EQ(snap.at("sim.objective.ipc").num,
+                     sys.core().ipc());
     std::ostringstream os;
-    rep.print(os);
+    reg.print(os);
     const std::string out = os.str();
-    EXPECT_NE(out.find("core.ipc"), std::string::npos);
-    EXPECT_NE(out.find("memctrl.writes_completed"),
-              std::string::npos);
-    EXPECT_NE(out.find("nvm.bank00.wear"), std::string::npos);
-    EXPECT_NE(out.find("objective.lifetime_years"),
-              std::string::npos);
+    for (const char *path :
+         {"cpu.core0.ipc", "memctrl.writes_completed", "nvm.bank00.wear",
+          "sim.objective.lifetime_years"})
+        EXPECT_NE(out.find(path), std::string::npos) << path;
 }
 
-TEST(StatsReport, BankCountersSumToControllerTotals)
+TEST(SystemStats, BankCountersSumToControllerTotals)
 {
     SystemParams sp;
     System sys("bwaves", sp, defaultConfig());

@@ -11,7 +11,7 @@
  *   mct_sim trace --app lbm --ops 100000 --out lbm.trace
  *                                                   capture a trace
  *   mct_sim eval --trace lbm.trace [config flags]   replay a trace
- *   mct_sim eval --app lbm --stats                  full stats dump
+ *   mct_sim eval --app lbm --stats                  every registry stat
  *   mct_sim list                                    applications & mixes
  *
  * Config flags for eval:
@@ -160,7 +160,6 @@
 #include "sim/checkpoint.hh"
 #include "sim/evaluator.hh"
 #include "sim/fault_injector.hh"
-#include "sim/stats_report.hh"
 #include "sim/sweep_cache.hh"
 #include "sim/system.hh"
 #include "workloads/mixes.hh"
@@ -926,12 +925,8 @@ writeFile(const std::string &path, WriteFn write)
     return false;
 }
 
-/**
- * Publish the mct-manifest-v1 document naming this run and every
- * artifact it produced. Artifacts are re-read from disk for their
- * checksums, so the manifest attests to the published bytes, not to
- * what the writer intended.
- */
+/** Publish the mct-manifest-v1 document naming this run and every
+ *  artifact it produced (see publishManifest). */
 bool
 writeRunManifest(const std::string &path, const std::string &mode,
                  const std::string &app, const std::string &config,
@@ -939,29 +934,18 @@ writeRunManifest(const std::string &path, const std::string &mode,
                  std::vector<ManifestArtifact> artifacts)
 {
     RunManifest m;
-    m.runId = manifestRunId(rid.fingerprint);
     m.mode = mode;
     m.app = app;
     m.config = config;
     m.seed = rid.seed;
     m.faultPlan = rid.faultPlan;
     m.fingerprint = rid.fingerprint;
-    for (ManifestArtifact &a : artifacts) {
-        std::uint64_t sum = 0, bytes = 0;
-        if (!checksumFile(a.path, sum, bytes)) {
-            std::fprintf(stderr, "cannot checksum '%s'\n",
-                         a.path.c_str());
-            return false;
-        }
-        a.checksum = sum;
-        a.bytes = bytes;
-        a.path = manifestRelative(path, a.path);
-        m.artifacts.push_back(std::move(a));
-    }
-    if (!writeFile(path, [&](std::ostream &os) {
-            writeManifestJson(os, m);
-        }))
+    m.artifacts = std::move(artifacts);
+    std::string err;
+    if (!publishManifest(path, m, MissingArtifact::Fail, err)) {
+        std::fprintf(stderr, "%s\n", err.c_str());
         return false;
+    }
     std::printf("manifest-out   %s (%zu artifacts, run %s)\n",
                 path.c_str(), m.artifacts.size(), m.runId.c_str());
     return true;
@@ -1202,10 +1186,10 @@ cmdEval(const Args &args)
     std::printf("app            %s\n", app.c_str());
     std::printf("config         %s\n", toString(cfg).c_str());
     if (args.has("stats")) {
-        // Full gem5-style statistics dump instead of the summary.
+        // The registry's full statistics dump instead of the summary.
         System sys(app, ep.sys, cfg);
         sys.run(ep.warmupInsts + ep.measureInsts);
-        dumpStats(sys, std::cout);
+        sys.statRegistry().print(std::cout);
         return 0;
     }
     const Telemetry tel = telemetryFromArgs(args);

@@ -64,14 +64,17 @@
  * checksum failures from `aggregate`). `show` uses 0, 2 and 3.
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/atomic_file.hh"
+#include "common/instrument.hh"
+#include "common/manifest.hh"
 #include "mct/config.hh"
 #include "report.hh"
 
@@ -112,13 +115,30 @@ flagValue(int argc, char **argv, int &i, std::string &out)
     return true;
 }
 
+/** Fetch a count flag's value: decimal digits only, no sign, parsed
+ *  in full; false with a named message otherwise. */
+bool
+countValue(int argc, char **argv, int &i, std::size_t &out)
+{
+    const char *flag = argv[i];
+    std::string v;
+    if (!flagValue(argc, argv, i, v))
+        return false;
+    const char *end = v.data() + v.size();
+    const auto [ptr, ec] = std::from_chars(v.data(), end, out);
+    if (ec == std::errc() && ptr == end)
+        return true;
+    std::fprintf(stderr, "%s expects a non-negative integer, got '%s'\n",
+                 flag, v.c_str());
+    return false;
+}
+
 int
 cmdShow(int argc, char **argv)
 {
     std::string statsPath, spansPath, hostPath;
     std::size_t windows = 8;
     for (int i = 2; i < argc; ++i) {
-        std::string v;
         if (!std::strcmp(argv[i], "--stats-json")) {
             if (!flagValue(argc, argv, i, statsPath))
                 return 2;
@@ -129,9 +149,8 @@ cmdShow(int argc, char **argv)
             if (!flagValue(argc, argv, i, hostPath))
                 return 2;
         } else if (!std::strcmp(argv[i], "--windows")) {
-            if (!flagValue(argc, argv, i, v))
+            if (!countValue(argc, argv, i, windows))
                 return 2;
-            windows = static_cast<std::size_t>(std::stoul(v));
         } else {
             std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
             return usage();
@@ -150,7 +169,7 @@ cmdShow(int argc, char **argv)
         renderRun(std::cout, run, windows);
     }
     if (!spansPath.empty()) {
-        SpanSet spans;
+        std::vector<mct::SpanRecord> spans;
         if (!loadSpans(spansPath, spans, err)) {
             std::fprintf(stderr, "error: %s\n", err.c_str());
             return 3;
@@ -160,15 +179,18 @@ cmdShow(int argc, char **argv)
     }
     if (!hostPath.empty()) {
         RunData host;
-        Profile prof;
-        if (!loadSnapshots(hostPath, host, err) ||
-            !loadProfile(hostPath, prof, err)) {
+        if (!loadSnapshots(hostPath, host, err)) {
             std::fprintf(stderr, "error: %s\n", err.c_str());
+            return 3;
+        }
+        if (host.schema != "mct-host-v1") {
+            std::fprintf(stderr, "error: %s: not an mct-host-v1 document\n",
+                         hostPath.c_str());
             return 3;
         }
         if (!statsPath.empty())
             std::cout << "\n";
-        renderHostSummary(std::cout, host, prof);
+        renderHostSummary(std::cout, host);
     }
     return 0;
 }
@@ -200,10 +222,14 @@ cmdAggregate(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--outlier-k")) {
             if (!flagValue(argc, argv, i, v))
                 return 2;
-            try {
-                opt.outlierK = std::stod(v);
-            } catch (...) {
-                std::fprintf(stderr, "bad --outlier-k '%s'\n",
+            const char *end = v.data() + v.size();
+            const auto [ptr, ec] =
+                std::from_chars(v.data(), end, opt.outlierK);
+            if (ec != std::errc() || ptr != end ||
+                !std::isfinite(opt.outlierK) || opt.outlierK <= 0.0) {
+                std::fprintf(stderr,
+                             "--outlier-k expects a finite number > 0, "
+                             "got '%s'\n",
                              v.c_str());
                 return 2;
             }
@@ -219,9 +245,8 @@ cmdAggregate(int argc, char **argv)
     if (!opt.groupBy.empty()) {
         // Validate the field name up front so a typo is a usage
         // error, not a per-manifest load error.
-        ManifestData probe;
         std::string key;
-        if (!probe.groupKey(opt.groupBy, key)) {
+        if (!manifestGroupKey(mct::RunManifest{}, opt.groupBy, key)) {
             std::fprintf(stderr,
                          "unknown --group-by field '%s' (app, mode, "
                          "config, seed, fault_plan, run_id)\n",
@@ -257,7 +282,6 @@ cmdTimeline(int argc, char **argv)
     std::string timelinePath, alertsPath;
     std::size_t windows = 0; // all held
     for (int i = 2; i < argc; ++i) {
-        std::string v;
         if (!std::strcmp(argv[i], "--timeline")) {
             if (!flagValue(argc, argv, i, timelinePath))
                 return 2;
@@ -265,9 +289,8 @@ cmdTimeline(int argc, char **argv)
             if (!flagValue(argc, argv, i, alertsPath))
                 return 2;
         } else if (!std::strcmp(argv[i], "--windows")) {
-            if (!flagValue(argc, argv, i, v))
+            if (!countValue(argc, argv, i, windows))
                 return 2;
-            windows = static_cast<std::size_t>(std::stoul(v));
         } else if (argv[i][0] != '-' && timelinePath.empty()) {
             timelinePath = argv[i]; // positional timeline document
         } else {
@@ -300,7 +323,6 @@ cmdExplain(int argc, char **argv)
     std::string statsPath, provPath;
     std::size_t decisions = 0; // 0 = all
     for (int i = 2; i < argc; ++i) {
-        std::string v;
         if (!std::strcmp(argv[i], "--provenance")) {
             if (!flagValue(argc, argv, i, provPath))
                 return 2;
@@ -308,9 +330,8 @@ cmdExplain(int argc, char **argv)
             if (!flagValue(argc, argv, i, statsPath))
                 return 2;
         } else if (!std::strcmp(argv[i], "--decisions")) {
-            if (!flagValue(argc, argv, i, v))
+            if (!countValue(argc, argv, i, decisions))
                 return 2;
-            decisions = static_cast<std::size_t>(std::stoul(v));
         } else if (argv[i][0] != '-' && statsPath.empty()) {
             statsPath = argv[i]; // positional run document
         } else {
@@ -332,17 +353,18 @@ cmdExplain(int argc, char **argv)
                   << ", app " << run.app << ", config " << run.config
                   << "\n";
         bool any = false;
-        for (const auto &[name, v] : run.finalScalars) {
-            if (name.rfind("mct.audit.", 0) != 0)
+        for (const auto &[name, v] : run.final) {
+            if (name.rfind("mct.audit.", 0) != 0 ||
+                v.kind == mct::StatKind::Histogram)
                 continue;
             if (!any)
                 std::cout << "audit stats:\n";
             any = true;
-            std::printf("  %-32s %g\n", name.c_str(), v);
+            std::printf("  %-32s %g\n", name.c_str(), v.num);
         }
         std::cout << "\n";
     }
-    ProvSet prov;
+    std::vector<mct::ProvenanceRecord> prov;
     if (!loadProvenance(provPath, prov, err)) {
         std::fprintf(stderr, "error: %s\n", err.c_str());
         return 3;

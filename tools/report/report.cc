@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <fstream>
+#include <functional>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -43,6 +46,13 @@ JsonValue::text(const std::string &key, const std::string &dflt) const
 {
     const JsonValue *v = find(key);
     return v && v->kind == Kind::String ? v->str : dflt;
+}
+
+bool
+JsonValue::flag(const std::string &key) const
+{
+    const JsonValue *v = find(key);
+    return v && v->kind == Kind::Bool && v->boolean;
 }
 
 namespace
@@ -287,6 +297,7 @@ class JsonReader
             return fail("malformed number '" + tok + "'");
         }
         out.kind = JsonValue::Kind::Number;
+        out.str = tok;
         return true;
     }
 };
@@ -322,6 +333,83 @@ parseJsonFile(const std::string &path, JsonValue &out, std::string &err)
     return true;
 }
 
+/**
+ * Parse @p path as JSON Lines: each non-blank line's value goes to
+ * @p row, which returns false + a message on a bad record. Any failure
+ * becomes "path:line: what" in @p err.
+ */
+bool
+forEachJsonLine(
+    const std::string &path, std::string &err,
+    const std::function<bool(const JsonValue &, std::string &)> &row)
+{
+    std::string text;
+    if (!readFile(path, text, err))
+        return false;
+    std::istringstream is(text);
+    std::string line;
+    std::size_t lineNo = 0;
+    while (std::getline(is, line)) {
+        ++lineNo;
+        if (line.find_first_not_of(" \t\r") == std::string::npos)
+            continue;
+        JsonParse p = parseJson(line);
+        std::string what;
+        if (!p.ok || !row(p.value, what)) {
+            err = path + ":" + std::to_string(lineNo) + ": " +
+                  (p.ok ? what : p.error);
+            return false;
+        }
+    }
+    return true;
+}
+
+/** Exact integer value of a JSON number that fits @p T (its literal
+ *  token parses in full, so no sign for an unsigned @p T, no fraction
+ *  and no exponent). */
+template <typename T>
+bool
+intValue(const JsonValue &v, T &out)
+{
+    if (v.kind != JsonValue::Kind::Number)
+        return false;
+    const char *end = v.str.data() + v.str.size();
+    const auto [ptr, ec] = std::from_chars(v.str.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
+/** Integer member @p key of @p obj into @p out (left as is when
+ *  absent); false + @p err when it is not one @p T can hold. */
+template <typename T>
+bool
+intField(const JsonValue &obj, const std::string &key, T &out,
+         std::string &err)
+{
+    const JsonValue *v = obj.find(key);
+    if (!v || intValue(*v, out))
+        return true;
+    err = "'" + key + "' must be an integer in [" +
+          std::to_string(std::numeric_limits<T>::min()) + ", " +
+          std::to_string(std::numeric_limits<T>::max()) + "]";
+    return false;
+}
+
+/** Index of @p name among the @p n names @p nameOf spells; false when
+ *  none matches. */
+template <typename NameFn>
+bool
+lookupName(const std::string &name, std::size_t n, NameFn nameOf,
+           std::size_t &out)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        if (name == nameOf(i)) {
+            out = i;
+            return true;
+        }
+    }
+    return false;
+}
+
 } // namespace
 
 JsonParse
@@ -335,63 +423,71 @@ parseJson(const std::string &text)
 // --------------------------------------------------------------------
 
 double
-RunHistogram::percentile(double p) const
+RunData::scalar(const std::string &path, double dflt) const
 {
-    if (count == 0)
-        return 0.0;
-    p = std::clamp(p, 0.0, 1.0);
-    const double target = p * static_cast<double>(count);
-    std::uint64_t cum = 0;
-    for (const auto &[lo, n] : buckets) {
-        if (n == 0)
-            continue;
-        cum += n;
-        if (static_cast<double>(cum) >= target) {
-            // Buckets are log2: [0,1) then [2^(i-1), 2^i), so the
-            // upper edge is always lo*2 (1 for the zero bucket) —
-            // identical to LogHistogram::percentile.
-            const double hi = lo == 0.0 ? 1.0 : lo * 2.0;
-            const double into =
-                target - static_cast<double>(cum - n);
-            const double frac =
-                std::clamp(into / static_cast<double>(n), 0.0, 1.0);
-            return lo + (hi - lo) * frac;
-        }
-    }
-    const double lastLo = buckets.back().first;
-    return lastLo == 0.0 ? 1.0 : lastLo * 2.0;
+    const auto it = final.find(path);
+    return it != final.end() && it->second.kind != StatKind::Histogram
+               ? it->second.num
+               : dflt;
 }
 
 namespace
 {
 
-/** Split a snapshot object into scalar and histogram members. */
-void
-splitSnapshot(const JsonValue &snap,
-              std::map<std::string, double> &scalars,
-              std::map<std::string, RunHistogram> *hists)
+/** Numeric members of a snapshot object, as gauges. */
+std::map<std::string, double>
+scalarsOf(const JsonValue &snap)
 {
-    for (const auto &[path, v] : snap.members) {
-        if (v.kind == JsonValue::Kind::Number) {
-            scalars[path] = v.number;
-        } else if (v.kind == JsonValue::Kind::Object && hists) {
-            RunHistogram h;
-            h.count =
-                static_cast<std::uint64_t>(v.num("count", 0.0));
-            h.sum = v.num("sum", 0.0);
-            if (const JsonValue *bs = v.find("buckets")) {
-                for (const JsonValue &b : bs->arr) {
-                    if (b.kind != JsonValue::Kind::Array ||
-                        b.arr.size() != 2)
-                        continue;
-                    h.buckets.emplace_back(
-                        b.arr[0].number,
-                        static_cast<std::uint64_t>(b.arr[1].number));
-                }
-            }
-            (*hists)[path] = std::move(h);
+    std::map<std::string, double> out;
+    for (const auto &[path, v] : snap.members)
+        if (v.kind == JsonValue::Kind::Number)
+            out[path] = v.number;
+    return out;
+}
+
+/**
+ * Rebuild a written histogram: {"count","sum","buckets":[[lo,n]..]}
+ * back into dense LogHistogram buckets. Every bucket low must be one
+ * LogHistogram::bucketLow value, so the index round-trips exactly.
+ */
+bool
+histogramFromJson(const JsonValue &v, StatValue &out, std::string &err)
+{
+    out.kind = StatKind::Histogram;
+    out.num = v.num("sum", 0.0);
+    if (!intField(v, "count", out.count, err))
+        return false;
+    const JsonValue *bs = v.find("buckets");
+    if (!bs)
+        return true;
+    for (const JsonValue &b : bs->arr) {
+        std::uint64_t n = 0;
+        if (b.kind != JsonValue::Kind::Array || b.arr.size() != 2 ||
+            b.arr[0].kind != JsonValue::Kind::Number ||
+            !intValue(b.arr[1], n)) {
+            err = "bucket is not [low, count]";
+            return false;
         }
+        // bucketLow(i) is 0 for i = 0 and 2^(i-1) above, i.e. a
+        // mantissa of exactly 0.5 with exponent i.
+        const double lo = b.arr[0].number;
+        int exp = 0;
+        const double mant = std::frexp(lo, &exp);
+        const bool pow2 = mant == 0.5 && exp >= 1 &&
+                          static_cast<std::size_t>(exp) <
+                              LogHistogram::numBuckets;
+        if (lo != 0.0 && !pow2) {
+            err = "bucket low " + b.arr[0].str +
+                  " is not a log2 bucket bound";
+            return false;
+        }
+        const std::size_t idx =
+            lo == 0.0 ? 0 : static_cast<std::size_t>(exp);
+        if (idx >= out.buckets.size())
+            out.buckets.resize(idx + 1, 0);
+        out.buckets[idx] += n;
     }
+    return true;
 }
 
 } // namespace
@@ -409,6 +505,7 @@ loadSnapshots(const std::string &path, RunData &out, std::string &err)
         return false;
     }
     out.path = path;
+    out.schema = schema;
     out.mode = doc.text("mode", "");
     out.app = doc.text("app", "");
     out.config = doc.text("config", "");
@@ -417,11 +514,25 @@ loadSnapshots(const std::string &path, RunData &out, std::string &err)
         err = path + ": missing 'final' snapshot";
         return false;
     }
-    splitSnapshot(*final_, out.finalScalars, &out.finalHists);
+    for (const auto &[name, v] : final_->members) {
+        StatValue sv;
+        if (v.kind == JsonValue::Kind::Number) {
+            sv.num = v.number;
+        } else if (v.kind != JsonValue::Kind::Object) {
+            continue;
+        } else if (!histogramFromJson(v, sv, err)) {
+            err = path + ": histogram '" + name + "': " + err;
+            return false;
+        }
+        out.final[name] = std::move(sv);
+    }
     if (const JsonValue *kinds = doc.find("kinds")) {
         for (const auto &[name, v] : kinds->members) {
-            if (v.kind == JsonValue::Kind::String)
-                out.kinds[name] = v.str;
+            const auto it = out.final.find(name);
+            if (it != out.final.end() &&
+                it->second.kind == StatKind::Gauge &&
+                v.kind == JsonValue::Kind::String && v.str == "counter")
+                it->second.kind = StatKind::Counter;
         }
     }
     if (const JsonValue *periodic = doc.find("periodic")) {
@@ -430,20 +541,36 @@ loadSnapshots(const std::string &path, RunData &out, std::string &err)
             if (!delta)
                 continue;
             RunWindow w;
-            w.inst =
-                static_cast<std::uint64_t>(entry.num("inst", 0.0));
-            splitSnapshot(*delta, w.scalars, nullptr);
+            if (!intField(entry, "inst", w.inst, err)) {
+                err = path + ": periodic entry: " + err;
+                return false;
+            }
+            w.scalars = scalarsOf(*delta);
             out.windows.push_back(std::move(w));
         }
     }
-    if (const JsonValue *events = doc.find("events")) {
-        for (const auto &[name, v] : events->members) {
-            if (v.kind == JsonValue::Kind::Number)
-                out.eventCounts[name] = v.number;
-        }
-    }
+    if (const JsonValue *events = doc.find("events"))
+        out.eventCounts = scalarsOf(*events);
     out.eventsRecorded = doc.num("events_recorded", 0.0);
     out.eventsDropped = doc.num("events_dropped", 0.0);
+    if (schema == "mct-host-v1") {
+        const JsonValue *stages = doc.find("stages");
+        if (!stages || stages->kind != JsonValue::Kind::Array) {
+            err = path + ": missing 'stages' array";
+            return false;
+        }
+        for (const JsonValue &st : stages->arr) {
+            HostProfiler::Stage stage;
+            stage.name = st.text("name", "?");
+            stage.wallSeconds = st.num("seconds", 0.0);
+            stage.cpuSeconds = st.num("cpu_seconds", 0.0);
+            if (!intField(st, "calls", stage.calls, err)) {
+                err = path + ": stage '" + stage.name + "': " + err;
+                return false;
+            }
+            out.stages.push_back(std::move(stage));
+        }
+    }
     return true;
 }
 
@@ -451,49 +578,38 @@ loadSnapshots(const std::string &path, RunData &out, std::string &err)
 // Run manifests (mct-manifest-v1) + fleet rollup (mct-fleet-v1)
 // --------------------------------------------------------------------
 
-std::string
-ManifestData::artifactPath(const ManifestArtifactRow &a) const
+const ManifestArtifact *
+findArtifact(const RunManifest &m, const std::string &kind)
 {
-    if (!a.path.empty() && a.path[0] == '/')
-        return a.path;
-    const std::size_t slash = path.find_last_of('/');
-    if (slash == std::string::npos)
-        return a.path;
-    return path.substr(0, slash + 1) + a.path;
-}
-
-const ManifestArtifactRow *
-ManifestData::artifact(const std::string &kind) const
-{
-    for (const ManifestArtifactRow &a : artifacts)
+    for (const ManifestArtifact &a : m.artifacts)
         if (a.kind == kind)
             return &a;
     return nullptr;
 }
 
 bool
-ManifestData::groupKey(const std::string &field, std::string &out) const
+manifestGroupKey(const RunManifest &m, const std::string &field,
+                 std::string &out)
 {
     if (field == "app")
-        out = app;
+        out = m.app;
     else if (field == "mode")
-        out = mode;
+        out = m.mode;
     else if (field == "config")
-        out = config;
+        out = m.config;
     else if (field == "seed")
-        out = std::to_string(seed);
+        out = std::to_string(m.seed);
     else if (field == "fault_plan")
-        out = faultPlan;
+        out = m.faultPlan;
     else if (field == "run_id")
-        out = runId;
+        out = m.runId;
     else
         return false;
     return true;
 }
 
 bool
-loadManifest(const std::string &path, ManifestData &out,
-             std::string &err)
+loadManifest(const std::string &path, RunManifest &out, std::string &err)
 {
     JsonValue doc;
     if (!parseJsonFile(path, doc, err))
@@ -503,95 +619,70 @@ loadManifest(const std::string &path, ManifestData &out,
         err = path + ": unsupported schema '" + schema + "'";
         return false;
     }
-    out.path = path;
     out.runId = doc.text("run_id", "");
     out.mode = doc.text("mode", "");
     out.app = doc.text("app", "");
     out.config = doc.text("config", "");
-    out.seed = static_cast<std::uint64_t>(doc.num("seed", 0.0));
     out.faultPlan = doc.text("fault_plan", "");
     out.fingerprint = doc.text("fingerprint", "");
+    if (!intField(doc, "seed", out.seed, err)) {
+        err = path + ": " + err;
+        return false;
+    }
     const JsonValue *arts = doc.find("artifacts");
     if (!arts || arts->kind != JsonValue::Kind::Array) {
         err = path + ": missing 'artifacts' array";
         return false;
     }
     for (const JsonValue &a : arts->arr) {
-        ManifestArtifactRow row;
-        row.kind = a.text("kind", "");
-        row.schema = a.text("schema", "");
-        row.path = a.text("path", "");
-        row.bytes = static_cast<std::uint64_t>(a.num("bytes", 0.0));
-        row.fnv1a = a.text("fnv1a", "");
-        if (row.path.empty()) {
+        ManifestArtifact art;
+        art.kind = a.text("kind", "");
+        art.schema = a.text("schema", "");
+        art.path = a.text("path", "");
+        if (art.path.empty()) {
             err = path + ": artifact without a path";
             return false;
         }
-        out.artifacts.push_back(std::move(row));
+        const std::string hex = a.text("fnv1a", "");
+        std::string what;
+        if (intField(a, "bytes", art.bytes, what) &&
+            !parseChecksumHex(hex, art.checksum))
+            what = "fnv1a '" + hex + "' is not 16 lowercase hex digits";
+        if (!what.empty()) {
+            err = path + ": artifact '" + art.path + "': " + what;
+            return false;
+        }
+        out.artifacts.push_back(std::move(art));
     }
     return true;
 }
 
 bool
-verifyManifest(const ManifestData &m, std::string &err)
+verifyManifest(const std::string &path, const RunManifest &m,
+               std::string &err)
 {
-    for (const ManifestArtifactRow &a : m.artifacts) {
-        const std::string full = m.artifactPath(a);
+    for (const ManifestArtifact &a : m.artifacts) {
+        const std::string full = manifestResolve(path, a.path);
         std::uint64_t checksum = 0, bytes = 0;
         if (!checksumFile(full, checksum, bytes)) {
-            err = "integrity error: " + m.path + ": artifact '" +
-                  a.path + "' cannot be read";
+            err = "integrity error: " + path + ": artifact '" + a.path +
+                  "' cannot be read";
             return false;
         }
         if (bytes != a.bytes) {
-            err = "integrity error: " + m.path + ": artifact '" +
-                  a.path + "' is " + std::to_string(bytes) +
+            err = "integrity error: " + path + ": artifact '" + a.path +
+                  "' is " + std::to_string(bytes) +
                   " bytes, manifest says " + std::to_string(a.bytes);
             return false;
         }
-        if (checksumHex(checksum) != a.fnv1a) {
-            err = "integrity error: " + m.path + ": artifact '" +
-                  a.path + "' checksum " + checksumHex(checksum) +
-                  " != manifest " + a.fnv1a;
+        if (checksum != a.checksum) {
+            err = "integrity error: " + path + ": artifact '" + a.path +
+                  "' checksum " + checksumHex(checksum) +
+                  " != manifest " + checksumHex(a.checksum);
             return false;
         }
     }
     return true;
-}
-
-StatSnapshot
-snapshotFromRun(const RunData &run)
-{
-    StatSnapshot snap;
-    for (const auto &[name, v] : run.finalScalars) {
-        StatValue sv;
-        const auto k = run.kinds.find(name);
-        sv.kind = (k != run.kinds.end() && k->second == "counter")
-                      ? StatKind::Counter
-                      : StatKind::Gauge;
-        sv.num = v;
-        snap.emplace(name, std::move(sv));
-    }
-    for (const auto &[name, h] : run.finalHists) {
-        StatValue sv;
-        sv.kind = StatKind::Histogram;
-        sv.num = h.sum;
-        sv.count = h.count;
-        for (const auto &[lo, n] : h.buckets) {
-            // Bucket lows are exact powers of two (or 0), so the
-            // dense LogHistogram index round-trips exactly.
-            const std::size_t idx =
-                lo == 0.0 ? 0
-                          : static_cast<std::size_t>(
-                                std::lround(std::log2(lo))) +
-                                1;
-            if (idx >= sv.buckets.size())
-                sv.buckets.resize(idx + 1, 0);
-            sv.buckets[idx] += n;
-        }
-        snap.emplace(name, std::move(sv));
-    }
-    return snap;
 }
 
 namespace
@@ -604,14 +695,6 @@ struct FleetRun
     std::string key; ///< group-by value
     StatSnapshot snap;
 };
-
-/** Fold a loaded run document into @p snap (first writer wins). */
-void
-foldIntoSnapshot(const RunData &run, StatSnapshot &snap)
-{
-    for (auto &[name, v] : snapshotFromRun(run))
-        snap.emplace(name, std::move(v));
-}
 
 /** Merge one group's runs and flag its dispersion outliers. */
 FleetGroup
@@ -761,43 +844,38 @@ aggregateManifests(const std::vector<std::string> &paths,
     std::vector<FleetRun> runs;
     bool first = true;
     for (const std::string &path : paths) {
-        ManifestData m;
+        RunManifest m;
         if (!loadManifest(path, m, err))
             return false;
-        if (opt.verify && !verifyManifest(m, err))
+        if (opt.verify && !verifyManifest(path, m, err))
             return false;
 
         FleetRun run;
         run.id = m.runId;
         if (!opt.groupBy.empty() &&
-            !m.groupKey(opt.groupBy, run.key)) {
+            !manifestGroupKey(m, opt.groupBy, run.key)) {
             err = "unknown --group-by field '" + opt.groupBy + "'";
             return false;
         }
+        // Stats first, then the host document: on a shared name the
+        // first writer wins.
         bool any = false;
-        std::string loadErr;
-        if (const ManifestArtifactRow *a = m.artifact("stats")) {
+        for (const std::string kind : {"stats", "host"}) {
+            const ManifestArtifact *a = findArtifact(m, kind);
+            if (!a || (kind == "host" && !opt.withHost))
+                continue;
             RunData rd;
-            if (!loadSnapshots(m.artifactPath(*a), rd, loadErr)) {
-                err = m.path + ": " + loadErr;
+            std::string loadErr;
+            if (!loadSnapshots(manifestResolve(path, a->path), rd,
+                               loadErr)) {
+                err = path + ": " + loadErr;
                 return false;
             }
-            foldIntoSnapshot(rd, run.snap);
+            run.snap.insert(rd.final.begin(), rd.final.end());
             any = true;
         }
-        if (opt.withHost) {
-            if (const ManifestArtifactRow *a = m.artifact("host")) {
-                RunData rd;
-                if (!loadSnapshots(m.artifactPath(*a), rd, loadErr)) {
-                    err = m.path + ": " + loadErr;
-                    return false;
-                }
-                foldIntoSnapshot(rd, run.snap);
-                any = true;
-            }
-        }
         if (!any) {
-            err = m.path + ": no aggregatable artifacts (need a "
+            err = path + ": no aggregatable artifacts (need a "
                   "'stats' artifact, or 'host' with --with-host)";
             return false;
         }
@@ -944,16 +1022,23 @@ loadTimeline(const std::string &path, TimelineData &out,
     out.mode = doc.text("mode", "");
     out.app = doc.text("app", "");
     out.config = doc.text("config", "");
-    out.capacity = static_cast<std::size_t>(doc.num("capacity", 0.0));
+    if (!intField(doc, "capacity", out.capacity, err)) {
+        err = path + ": " + err;
+        return false;
+    }
     if (const JsonValue *metrics = doc.find("metrics")) {
         for (const JsonValue &m : metrics->arr)
             if (m.kind == JsonValue::Kind::String)
                 out.metrics.push_back(m.str);
     }
     if (const JsonValue *insts = doc.find("inst")) {
-        for (const JsonValue &v : insts->arr)
-            out.insts.push_back(
-                static_cast<std::uint64_t>(v.number));
+        for (const JsonValue &v : insts->arr) {
+            if (!intValue(v, out.insts.emplace_back())) {
+                err = path + ": 'inst' holds " + v.str +
+                      ", not an instruction count";
+                return false;
+            }
+        }
     }
     const JsonValue *series = doc.find("series");
     if (!series || series->kind != JsonValue::Kind::Object) {
@@ -971,53 +1056,35 @@ loadTimeline(const std::string &path, TimelineData &out,
             return false;
         }
     }
-    if (const JsonValue *final_ = doc.find("final")) {
-        for (const auto &[name, v] : final_->members)
-            if (v.kind == JsonValue::Kind::Number)
-                out.finalScalars[name] = v.number;
-    }
+    if (const JsonValue *final_ = doc.find("final"))
+        out.finalScalars = scalarsOf(*final_);
     return true;
 }
 
 bool
 loadAlertLog(const std::string &path, AlertLog &out, std::string &err)
 {
-    std::string text;
-    if (!readFile(path, text, err))
-        return false;
-    std::istringstream is(text);
-    std::string line;
-    std::size_t lineNo = 0;
-    while (std::getline(is, line)) {
-        ++lineNo;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        JsonParse p = parseJson(line);
-        if (!p.ok) {
-            err = path + ":" + std::to_string(lineNo) + ": " + p.error;
-            return false;
-        }
-        const JsonValue &v = p.value;
+    return forEachJsonLine(path, err, [&](const JsonValue &v,
+                                          std::string &what) {
         AlertRow row;
         const std::string ev = v.text("ev", "");
         if (ev != "alert_raised" && ev != "alert_cleared") {
-            err = path + ":" + std::to_string(lineNo) +
-                  ": unknown event '" + ev + "'";
+            what = "unknown event '" + ev + "'";
             return false;
         }
+        if (!intField(v, "window", row.window, what) ||
+            !intField(v, "inst", row.inst, what) ||
+            !intField(v, "windows_active", row.windowsActive, what))
+            return false;
         row.raised = ev == "alert_raised";
-        row.window = static_cast<std::uint64_t>(v.num("window", 0.0));
-        row.inst = static_cast<std::uint64_t>(v.num("inst", 0.0));
         row.value = v.num("value", 0.0);
-        row.windowsActive =
-            static_cast<std::uint64_t>(v.num("windows_active", 0.0));
         row.rule = v.text("rule", "");
         row.metric = v.text("metric", "");
         row.condition = v.text("condition", "");
         row.severity = v.text("severity", "");
         out.rows.push_back(std::move(row));
-    }
-    return true;
+        return true;
+    });
 }
 
 std::string
@@ -1135,181 +1202,138 @@ renderTimeline(std::ostream &os, const TimelineData &tl,
 }
 
 // --------------------------------------------------------------------
-// Span JSONL
+// Span and provenance JSONL
 // --------------------------------------------------------------------
 
 bool
-loadSpans(const std::string &path, SpanSet &out, std::string &err)
+loadSpans(const std::string &path, std::vector<SpanRecord> &out,
+          std::string &err)
 {
-    std::string text;
-    if (!readFile(path, text, err))
-        return false;
-    std::istringstream is(text);
-    std::string line;
-    std::size_t lineNo = 0;
-    while (std::getline(is, line)) {
-        ++lineNo;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        JsonParse p = parseJson(line);
-        if (!p.ok) {
-            err = path + ":" + std::to_string(lineNo) + ": " + p.error;
+    return forEachJsonLine(path, err, [&](const JsonValue &v,
+                                          std::string &what) {
+        SpanRecord r;
+        unsigned write = 0;
+        if (!intField(v, "id", r.id, what) ||
+            !intField(v, "addr", r.addr, what) ||
+            !intField(v, "write", write, what) ||
+            !intField(v, "hit_level", r.hitLevel, what) ||
+            !intField(v, "inst", r.inst, what) ||
+            !intField(v, "begin_ps", r.begin, what) ||
+            !intField(v, "end_ps", r.end, what))
             return false;
-        }
-        const JsonValue &v = p.value;
-        SpanRow row;
-        row.id = static_cast<std::uint64_t>(v.num("id", 0.0));
-        row.hitLevel = static_cast<int>(v.num("hit_level", 0.0));
-        row.isWrite = v.num("write", 0.0) != 0.0;
-        row.inst = static_cast<std::uint64_t>(v.num("inst", 0.0));
-        const double beginPs = v.num("begin_ps", 0.0);
-        const double endPs = v.num("end_ps", 0.0);
-        row.totalNs = (endPs - beginPs) / 1000.0;
+        r.isWrite = write != 0;
+        const auto stageName = [](std::size_t i) {
+            return toString(static_cast<SpanStage>(i));
+        };
         if (const JsonValue *stages = v.find("stages")) {
             for (const auto &[name, iv] : stages->members) {
+                std::size_t s = 0;
+                if (!lookupName(name, numSpanStages, stageName, s)) {
+                    what = "unknown span stage '" + name + "'";
+                    return false;
+                }
                 if (iv.kind != JsonValue::Kind::Array ||
-                    iv.arr.size() != 2)
-                    continue;
-                row.stageNs[name] =
-                    (iv.arr[1].number - iv.arr[0].number) / 1000.0;
+                    iv.arr.size() != 2 ||
+                    !intValue(iv.arr[0], r.enter[s]) ||
+                    !intValue(iv.arr[1], r.exit[s])) {
+                    what = "stage '" + name + "' is not [enter_ps, exit_ps]";
+                    return false;
+                }
+                r.present |= static_cast<std::uint8_t>(1u << s);
             }
         }
-        out.spans.push_back(std::move(row));
-    }
-    return true;
+        out.push_back(r);
+        return true;
+    });
 }
-
-// --------------------------------------------------------------------
-// Stage-timing profiles
-// --------------------------------------------------------------------
-
-bool
-loadProfile(const std::string &path, Profile &out, std::string &err)
-{
-    JsonValue doc;
-    if (!parseJsonFile(path, doc, err))
-        return false;
-    const JsonValue *stages = doc.find("stages");
-    if (!stages || stages->kind != JsonValue::Kind::Array) {
-        err = path + ": missing 'stages' array";
-        return false;
-    }
-    for (const JsonValue &s : stages->arr) {
-        ProfileStage st;
-        st.name = s.text("name", "?");
-        st.seconds = s.num("seconds", 0.0);
-        st.cpuSeconds = s.num("cpu_seconds", 0.0);
-        st.calls = static_cast<std::uint64_t>(s.num("calls", 0.0));
-        out.stages.push_back(std::move(st));
-    }
-    return true;
-}
-
-// --------------------------------------------------------------------
-// Decision provenance
-// --------------------------------------------------------------------
 
 namespace
 {
 
-ProvObjective
-provObjectiveFromJson(const JsonValue &v)
+/** Objective index of a provenance "objectives"/"attribution" key. */
+bool
+objectiveIndex(const std::string &name, std::size_t &i, std::string &what)
 {
-    ProvObjective o;
-    o.pred = v.num("pred", 0.0);
-    o.sigma = v.num("sigma", 0.0);
-    o.real = v.num("real", 0.0);
-    o.err = v.num("err", 0.0);
-    const JsonValue *valid = v.find("err_valid");
-    o.errValid = valid && valid->kind == JsonValue::Kind::Bool &&
-                 valid->boolean;
-    return o;
+    if (lookupName(name, numProvenanceObjectives, provenanceObjectiveName,
+                   i))
+        return true;
+    what = "unknown objective '" + name + "'";
+    return false;
+}
+
+bool
+provenanceFromJson(const JsonValue &v, ProvenanceRecord &r,
+                   std::string &what)
+{
+    if (!intField(v, "seq", r.seq, what) ||
+        !intField(v, "phase", r.phase, what) ||
+        !intField(v, "inst", r.inst, what) ||
+        !intField(v, "close_inst", r.closeInst, what) ||
+        !intField(v, "chosen", r.chosen, what) ||
+        !intField(v, "sampled", r.sampledConfigs, what))
+        return false;
+    r.model = v.text("model", "");
+    r.configKey = v.text("config", "");
+    r.fallback = v.flag("fallback");
+    if (const JsonValue *cons = v.find("constraints")) {
+        r.minLifetimeYears = cons->num("min_lifetime_years", 0.0);
+        r.ipcFraction = cons->num("ipc_fraction", 0.0);
+        r.safetyMargin = cons->num("safety_margin", 0.0);
+    }
+    std::size_t i = 0;
+    if (const JsonValue *objs = v.find("objectives")) {
+        for (const auto &[name, ov] : objs->members) {
+            if (!objectiveIndex(name, i, what))
+                return false;
+            ProvenanceObjective &o = r.objectives[i];
+            o.predicted = ov.num("pred", 0.0);
+            o.uncertainty = ov.num("sigma", 0.0);
+            o.realized = ov.num("real", 0.0);
+            o.relError = ov.num("err", 0.0);
+            o.errorValid = ov.flag("err_valid");
+        }
+    }
+    if (const JsonValue *rus = v.find("runner_ups")) {
+        for (const JsonValue &rv : rus->arr) {
+            ProvenanceCandidate c;
+            if (!intField(rv, "config", c.config, what))
+                return false;
+            c.ipc = rv.num("ipc", 0.0);
+            c.lifetimeYears = rv.num("lifetime_years", 0.0);
+            c.energyJ = rv.num("energy_j", 0.0);
+            c.feasible = rv.flag("feasible");
+            r.runnerUps.push_back(c);
+        }
+    }
+    r.bestSampledIpc = v.num("best_sampled_ipc", 0.0);
+    r.regret = v.num("regret", 0.0);
+    r.cumRegret = v.num("cum_regret", 0.0);
+    if (const JsonValue *attr = v.find("attribution")) {
+        for (const auto &[name, av] : attr->members) {
+            if (!objectiveIndex(name, i, what))
+                return false;
+            for (const JsonValue &wv : av.arr)
+                r.attribution[i].push_back(wv.number);
+        }
+    }
+    r.closed = v.flag("closed");
+    return true;
 }
 
 } // namespace
 
 bool
-loadProvenance(const std::string &path, ProvSet &out, std::string &err)
+loadProvenance(const std::string &path,
+               std::vector<ProvenanceRecord> &out, std::string &err)
 {
-    std::string text;
-    if (!readFile(path, text, err))
-        return false;
-    std::istringstream is(text);
-    std::string line;
-    std::size_t lineNo = 0;
-    while (std::getline(is, line)) {
-        ++lineNo;
-        if (line.find_first_not_of(" \t\r") == std::string::npos)
-            continue;
-        JsonParse p = parseJson(line);
-        if (!p.ok) {
-            err = path + ":" + std::to_string(lineNo) + ": " + p.error;
+    return forEachJsonLine(path, err, [&](const JsonValue &v,
+                                          std::string &what) {
+        ProvenanceRecord r;
+        if (!provenanceFromJson(v, r, what))
             return false;
-        }
-        const JsonValue &v = p.value;
-        ProvRecord rec;
-        rec.seq = static_cast<std::uint64_t>(v.num("seq", 0.0));
-        rec.phase = static_cast<std::uint64_t>(v.num("phase", 0.0));
-        rec.inst = static_cast<std::uint64_t>(v.num("inst", 0.0));
-        rec.closeInst =
-            static_cast<std::uint64_t>(v.num("close_inst", 0.0));
-        rec.model = v.text("model", "");
-        rec.config = v.text("config", "");
-        rec.chosen = static_cast<long long>(v.num("chosen", -1.0));
-        const JsonValue *fb = v.find("fallback");
-        rec.fallback = fb && fb->kind == JsonValue::Kind::Bool &&
-                       fb->boolean;
-        rec.sampled = static_cast<std::uint64_t>(v.num("sampled", 0.0));
-        if (const JsonValue *cons = v.find("constraints")) {
-            rec.minLifetimeYears =
-                cons->num("min_lifetime_years", 0.0);
-            rec.ipcFraction = cons->num("ipc_fraction", 0.0);
-            rec.safetyMargin = cons->num("safety_margin", 0.0);
-        }
-        if (const JsonValue *objs = v.find("objectives")) {
-            for (const auto &[name, ov] : objs->members) {
-                if (ov.kind == JsonValue::Kind::Object)
-                    rec.objectives.emplace_back(
-                        name, provObjectiveFromJson(ov));
-            }
-        }
-        if (const JsonValue *rus = v.find("runner_ups")) {
-            for (const JsonValue &rv : rus->arr) {
-                ProvCandidate c;
-                c.config =
-                    static_cast<std::uint64_t>(rv.num("config", 0.0));
-                c.ipc = rv.num("ipc", 0.0);
-                c.lifetimeYears = rv.num("lifetime_years", 0.0);
-                c.energyJ = rv.num("energy_j", 0.0);
-                const JsonValue *feas = rv.find("feasible");
-                c.feasible = feas &&
-                             feas->kind == JsonValue::Kind::Bool &&
-                             feas->boolean;
-                rec.runnerUps.push_back(c);
-            }
-        }
-        rec.bestSampledIpc = v.num("best_sampled_ipc", 0.0);
-        rec.regret = v.num("regret", 0.0);
-        rec.cumRegret = v.num("cum_regret", 0.0);
-        if (const JsonValue *attr = v.find("attribution")) {
-            for (const auto &[name, av] : attr->members) {
-                if (av.kind != JsonValue::Kind::Array)
-                    continue;
-                std::vector<double> weights;
-                weights.reserve(av.arr.size());
-                for (const JsonValue &wv : av.arr)
-                    weights.push_back(wv.number);
-                rec.attribution.emplace_back(name,
-                                             std::move(weights));
-            }
-        }
-        const JsonValue *closed = v.find("closed");
-        rec.closed = closed &&
-                     closed->kind == JsonValue::Kind::Bool &&
-                     closed->boolean;
-        out.records.push_back(std::move(rec));
-    }
-    return true;
+        out.push_back(std::move(r));
+        return true;
+    });
 }
 
 // --------------------------------------------------------------------
@@ -1520,7 +1544,9 @@ DiffReport
 diffRuns(const RunData &base, const RunData &cur, const Thresholds &th)
 {
     DiffReport rep;
-    for (const auto &[metric, curVal] : cur.finalScalars) {
+    for (const auto &[metric, curVal] : cur.final) {
+        if (curVal.kind == StatKind::Histogram)
+            continue;
         const ThresholdRule *rule = nullptr;
         for (const ThresholdRule &r : th.rules) {
             if (metricGlobMatch(r.metricGlob, metric)) {
@@ -1530,8 +1556,9 @@ diffRuns(const RunData &base, const RunData &cur, const Thresholds &th)
         }
         if (!rule)
             continue;
-        const auto bit = base.finalScalars.find(metric);
-        if (bit == base.finalScalars.end()) {
+        const auto bit = base.final.find(metric);
+        if (bit == base.final.end() ||
+            bit->second.kind == StatKind::Histogram) {
             rep.missingInBase.push_back(metric);
             continue;
         }
@@ -1539,8 +1566,8 @@ diffRuns(const RunData &base, const RunData &cur, const Thresholds &th)
         c.metric = metric;
         c.glob = rule->metricGlob;
         c.higherIsBetter = rule->higherIsBetter;
-        c.base = bit->second;
-        c.cur = curVal;
+        c.base = bit->second.num;
+        c.cur = curVal.num;
         c.allowed = rule->rel * std::fabs(c.base) + rule->abs;
         if (c.base != 0.0)
             c.relChange = (c.cur - c.base) / std::fabs(c.base);
@@ -1626,19 +1653,6 @@ writeBenchReport(std::ostream &os, const RunData &base,
 // Single-run rendering
 // --------------------------------------------------------------------
 
-namespace
-{
-
-/** The final scalar at @p path, or @p dflt. */
-double
-scalarOr(const RunData &run, const std::string &path, double dflt)
-{
-    const auto it = run.finalScalars.find(path);
-    return it != run.finalScalars.end() ? it->second : dflt;
-}
-
-} // namespace
-
 void
 renderRun(std::ostream &os, const RunData &run, std::size_t maxWindows)
 {
@@ -1648,12 +1662,12 @@ renderRun(std::ostream &os, const RunData &run, std::size_t maxWindows)
 
     TextTable obj;
     obj.header({"objective", "value"});
-    obj.row({"ipc", fmt(scalarOr(run, "sim.objective.ipc", 0.0), 4)});
+    obj.row({"ipc", fmt(run.scalar("sim.objective.ipc"), 4)});
     obj.row({"lifetime_years",
-             fmt(scalarOr(run, "sim.objective.lifetime_years", 0.0),
+             fmt(run.scalar("sim.objective.lifetime_years"),
                  2)});
     obj.row({"avg_read_latency_ns",
-             fmt(scalarOr(run, "memctrl.avg_read_latency_ns", 0.0),
+             fmt(run.scalar("memctrl.avg_read_latency_ns"),
                  1)});
     obj.print(os);
     os << "\n";
@@ -1662,8 +1676,9 @@ renderRun(std::ostream &os, const RunData &run, std::size_t maxWindows)
     TextTable lat;
     lat.header({"stage", "spans", "mean_ns", "p50_ns", "p90_ns",
                 "p99_ns"});
-    for (const auto &[path, h] : run.finalHists) {
-        if (path.rfind("lat.", 0) != 0 || h.count == 0)
+    for (const auto &[path, h] : run.final) {
+        if (h.kind != StatKind::Histogram || path.rfind("lat.", 0) != 0 ||
+            h.count == 0)
             continue;
         const std::string stage =
             path.substr(4, path.size() - 4 - 3); // strip lat. / .ns
@@ -1713,21 +1728,27 @@ renderRun(std::ostream &os, const RunData &run, std::size_t maxWindows)
 }
 
 void
-renderSpans(std::ostream &os, const SpanSet &spans)
+renderSpans(std::ostream &os, const std::vector<SpanRecord> &spans)
 {
+    const auto ns = [](Tick from, Tick to) {
+        return (static_cast<double>(to) - static_cast<double>(from)) /
+               1000.0;
+    };
     std::map<std::string, std::pair<std::uint64_t, double>> byStage;
     std::map<int, std::pair<std::uint64_t, double>> byLevel;
-    for (const SpanRow &r : spans.spans) {
+    for (const SpanRecord &r : spans) {
         auto &lvl = byLevel[r.hitLevel];
         ++lvl.first;
-        lvl.second += r.totalNs;
-        for (const auto &[stage, ns] : r.stageNs) {
-            auto &st = byStage[stage];
+        lvl.second += ns(r.begin, r.end);
+        for (std::size_t s = 0; s < numSpanStages; ++s) {
+            if (!r.has(static_cast<SpanStage>(s)))
+                continue;
+            auto &st = byStage[toString(static_cast<SpanStage>(s))];
             ++st.first;
-            st.second += ns;
+            st.second += ns(r.enter[s], r.exit[s]);
         }
     }
-    os << "spans: " << spans.spans.size() << "\n";
+    os << "spans: " << spans.size() << "\n";
     TextTable lvl;
     lvl.header({"hit_level", "spans", "mean_total_ns"});
     for (const auto &[level, agg] : byLevel) {
@@ -1798,56 +1819,62 @@ topFeatures(const std::vector<double> &weights,
 } // namespace
 
 void
-renderExplain(std::ostream &os, const ProvSet &prov,
+renderExplain(std::ostream &os, const std::vector<ProvenanceRecord> &prov,
               const std::vector<std::string> &featureNames,
               std::size_t maxDecisions)
 {
     std::size_t closed = 0;
-    for (const ProvRecord &r : prov.records)
+    for (const ProvenanceRecord &r : prov)
         closed += r.closed ? 1 : 0;
-    os << "decisions: " << prov.records.size() << " (" << closed
+    os << "decisions: " << prov.size() << " (" << closed
        << " closed)\n\n";
 
-    const std::size_t n = prov.records.size();
+    const std::size_t n = prov.size();
     const std::size_t from =
         maxDecisions && n > maxDecisions ? n - maxDecisions : 0;
     if (from > 0)
         os << "(showing the last " << (n - from) << " of " << n
            << " decisions)\n\n";
     for (std::size_t i = from; i < n; ++i) {
-        const ProvRecord &r = prov.records[i];
+        const ProvenanceRecord &r = prov[i];
         os << "decision " << r.seq << " @ inst " << r.inst
            << " (phase " << r.phase << ", model " << r.model << ")\n";
-        os << "  config " << r.config
+        os << "  config " << r.configKey
            << (r.chosen >= 0 ? " (#" + std::to_string(r.chosen) + ")"
                              : " (baseline fallback)")
-           << ", " << r.sampled << " sampled, constraints: lifetime >= "
+           << ", " << r.sampledConfigs
+           << " sampled, constraints: lifetime >= "
            << fmt(r.minLifetimeYears, 1) << "y x "
            << fmt(r.safetyMargin, 2) << ", ipc >= "
            << fmt(r.ipcFraction, 2) << " of best\n";
         TextTable t;
         t.header({"objective", "predicted", "sigma", "realized",
                   "err"});
-        for (const auto &[name, o] : r.objectives) {
-            t.row({name, fmt(o.pred, 4), fmt(o.sigma, 4),
-                   r.closed ? fmt(o.real, 4) : "-",
-                   o.errValid ? fmt(o.err * 100.0, 2) + "%" : "-"});
+        for (std::size_t k = 0; k < numProvenanceObjectives; ++k) {
+            const ProvenanceObjective &o = r.objectives[k];
+            t.row({provenanceObjectiveName(k), fmt(o.predicted, 4),
+                   fmt(o.uncertainty, 4),
+                   r.closed ? fmt(o.realized, 4) : "-",
+                   o.errorValid ? fmt(o.relError * 100.0, 2) + "%"
+                                : "-"});
         }
         t.print(os);
         if (r.closed)
             os << "  regret " << fmt(r.regret, 4) << " (cumulative "
                << fmt(r.cumRegret, 4) << ") vs best sampled ipc "
                << fmt(r.bestSampledIpc, 4) << "\n";
-        for (const ProvCandidate &c : r.runnerUps)
+        for (const ProvenanceCandidate &c : r.runnerUps)
             os << "  runner-up #" << c.config << ": ipc "
                << fmt(c.ipc, 4) << ", lifetime "
                << fmt(c.lifetimeYears, 2) << "y, energy "
                << fmt(c.energyJ, 5) << (c.feasible ? "" : " (infeasible)")
                << "\n";
-        for (const auto &[name, weights] : r.attribution)
-            os << "  top features (" << name
-               << "): " << topFeatures(weights, featureNames, 5)
-               << "\n";
+        for (std::size_t k = 0; k < numProvenanceObjectives; ++k)
+            if (!r.attribution[k].empty())
+                os << "  top features (" << provenanceObjectiveName(k)
+                   << "): "
+                   << topFeatures(r.attribution[k], featureNames, 5)
+                   << "\n";
         os << "\n";
     }
 
@@ -1855,27 +1882,19 @@ renderExplain(std::ostream &os, const ProvSet &prov,
     TextTable cal;
     cal.header({"objective", "closed", "valid", "mean_err", "p50_err",
                 "p90_err"});
-    std::vector<std::string> names;
-    for (const ProvRecord &r : prov.records)
-        for (const auto &[name, o] : r.objectives)
-            if (std::find(names.begin(), names.end(), name) ==
-                names.end())
-                names.push_back(name);
-    for (const std::string &name : names) {
+    for (std::size_t k = 0; !prov.empty() && k < numProvenanceObjectives;
+         ++k) {
         std::vector<double> errs;
         std::size_t total = 0;
         double sum = 0.0;
-        for (const ProvRecord &r : prov.records) {
+        for (const ProvenanceRecord &r : prov) {
             if (!r.closed)
                 continue;
-            for (const auto &[oname, o] : r.objectives) {
-                if (oname != name)
-                    continue;
-                ++total;
-                if (o.errValid) {
-                    errs.push_back(o.err);
-                    sum += o.err;
-                }
+            ++total;
+            const ProvenanceObjective &o = r.objectives[k];
+            if (o.errorValid) {
+                errs.push_back(o.relError);
+                sum += o.relError;
             }
         }
         const double mean =
@@ -1884,7 +1903,8 @@ renderExplain(std::ostream &os, const ProvSet &prov,
         const std::size_t valid = errs.size();
         const double p90 = samplePercentile(errs, 0.90);
         const double p50 = samplePercentile(errs, 0.50);
-        cal.row({name, std::to_string(total), std::to_string(valid),
+        cal.row({provenanceObjectiveName(k), std::to_string(total),
+                 std::to_string(valid),
                  fmt(mean * 100.0, 2) + "%",
                  fmt(p50 * 100.0, 2) + "%",
                  fmt(p90 * 100.0, 2) + "%"});
@@ -1894,39 +1914,34 @@ renderExplain(std::ostream &os, const ProvSet &prov,
 }
 
 void
-renderHostSummary(std::ostream &os, const RunData &run,
-                  const Profile &profile)
+renderHostSummary(std::ostream &os, const RunData &host)
 {
-    const auto scalar = [&run](const char *name) {
-        const auto it = run.finalScalars.find(name);
-        return it == run.finalScalars.end() ? 0.0 : it->second;
-    };
-    os << "host telemetry: " << run.path << "\n";
-    if (!run.mode.empty())
-        os << "mode " << run.mode << ", app " << run.app << ", config "
-           << run.config << "\n";
-    os << "  sim.mips                 " << fmt(scalar("sim.mips"), 2)
+    os << "host telemetry: " << host.path << "\n";
+    if (!host.mode.empty())
+        os << "mode " << host.mode << ", app " << host.app << ", config "
+           << host.config << "\n";
+    os << "  sim.mips                 " << fmt(host.scalar("sim.mips"), 2)
        << "\n";
     os << "  wall seconds             "
-       << fmt(scalar("sim.host.wall_seconds"), 3) << "\n";
+       << fmt(host.scalar("sim.host.wall_seconds"), 3) << "\n";
     os << "  cpu seconds              "
-       << fmt(scalar("sim.host.cpu_seconds"), 3) << " (util "
-       << fmt(scalar("sim.host.cpu_util"), 2) << ")\n";
+       << fmt(host.scalar("sim.host.cpu_seconds"), 3) << " (util "
+       << fmt(host.scalar("sim.host.cpu_util"), 2) << ")\n";
     os << "  rss high-water kB        "
-       << fmt(scalar("sim.host.rss_hwm_kb"), 0) << "\n";
+       << fmt(host.scalar("sim.host.rss_hwm_kb"), 0) << "\n";
     os << "  instructions             "
-       << fmt(scalar("sim.host.instructions"), 0) << "\n";
-    if (profile.stages.empty())
+       << fmt(host.scalar("sim.host.instructions"), 0) << "\n";
+    if (host.stages.empty())
         return;
     double total = 0.0;
-    for (const ProfileStage &s : profile.stages)
-        total += s.seconds;
+    for (const HostProfiler::Stage &s : host.stages)
+        total += s.wallSeconds;
     TextTable t;
     t.header({"stage", "seconds", "cpu", "calls", "share"});
-    for (const ProfileStage &s : profile.stages) {
+    for (const HostProfiler::Stage &s : host.stages) {
         const std::string share =
-            fmt(total > 0 ? s.seconds / total * 100.0 : 0.0, 1) + "%";
-        t.row({s.name, fmt(s.seconds, 3), fmt(s.cpuSeconds, 3),
+            fmt(total > 0 ? s.wallSeconds / total * 100.0 : 0.0, 1) + "%";
+        t.row({s.name, fmt(s.wallSeconds, 3), fmt(s.cpuSeconds, 3),
                std::to_string(s.calls), share});
     }
     os << "host attribution:\n";

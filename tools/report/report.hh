@@ -4,7 +4,9 @@
  *
  * Loads the machine-readable artifacts the simulator emits — the
  * --stats-json document (mct-stats-v1), span/event JSONL streams, and
- * mct-host-v1 host profiles — and either renders a single run (per-window
+ * mct-host-v1 host profiles — into the simulator's own record types
+ * (StatSnapshot, SpanRecord, ProvenanceRecord, RunManifest,
+ * HostProfiler::Stage) and either renders a single run (per-window
  * tables plus a latency-attribution breakdown) or diffs two runs
  * metric-by-metric against declarative relative thresholds
  * (thresholds.txt, same data-not-code style as tools/lint/rules.txt),
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "common/instrument.hh"
+#include "common/manifest.hh"
 #include "common/stat_merge.hh"
 
 namespace mct::report
@@ -52,6 +55,8 @@ struct JsonValue
     Kind kind = Kind::Null;
     bool boolean = false;
     double number = 0.0;
+    /** String value; for a number, its literal token, so integers
+     *  parse exactly (see intValue). */
     std::string str;
     std::vector<JsonValue> arr;
     /** Object members in document order. */
@@ -66,6 +71,9 @@ struct JsonValue
     /** String member with a default. */
     std::string text(const std::string &key,
                      const std::string &dflt) const;
+
+    /** Boolean member; false when absent or not a boolean. */
+    bool flag(const std::string &key) const;
 };
 
 struct JsonParse
@@ -82,23 +90,6 @@ struct JsonParse
 // Run data (mct-stats-v1)
 // --------------------------------------------------------------------
 
-/** A log2-bucketed histogram as serialized in a stats document. */
-struct RunHistogram
-{
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    /** (bucketLow, count) pairs, ascending. */
-    std::vector<std::pair<double, std::uint64_t>> buckets;
-
-    double mean() const
-    {
-        return count ? sum / static_cast<double>(count) : 0.0;
-    }
-
-    /** Same interpolation semantics as LogHistogram::percentile. */
-    double percentile(double p) const;
-};
-
 /** One periodic delta window. */
 struct RunWindow
 {
@@ -106,29 +97,36 @@ struct RunWindow
     std::map<std::string, double> scalars;
 };
 
-/** Everything mct_report needs from one --stats-json document. */
+/** Everything mct_report needs from one run document. */
 struct RunData
 {
     std::string path;
+    std::string schema;
     std::string mode;
     std::string app;
     std::string config;
-    std::map<std::string, double> finalScalars;
-    std::map<std::string, RunHistogram> finalHists;
-    /** Scalar kind map ("counter"/"gauge") from the document's
-     *  "kinds" object; empty for documents predating it. */
-    std::map<std::string, std::string> kinds;
+    /** The "final" snapshot. Scalars take their kind from the
+     *  document's "kinds" object (gauge when absent, as in host
+     *  documents); histograms hold dense LogHistogram buckets, so the
+     *  snapshot feeds StatMerge as is. */
+    StatSnapshot final;
     std::vector<RunWindow> windows;
     std::map<std::string, double> eventCounts;
     double eventsRecorded = 0.0;
     double eventsDropped = 0.0;
+    /** Per-stage host time of an mct-host-v1 document (else empty). */
+    std::vector<HostProfiler::Stage> stages;
+
+    /** Final scalar at @p path; @p dflt when absent or a histogram. */
+    double scalar(const std::string &path, double dflt = 0.0) const;
 };
 
 /**
  * Load a stats document; false + @p err on parse/shape problems.
  * Accepts mct-stats-v1 (deterministic run document), mct-host-v1
  * (the nondeterministic host-telemetry document written by
- * --host-profile-out; same final/periodic shape, host scalars), and
+ * --host-profile-out or a bench's --profile-out; same final/periodic
+ * shape, host scalars, plus the per-stage "stages" array), and
  * mct-timeline-v1 (--timeline-out; its flat "final" object carries
  * the sim.timeline.* / timeline.<metric>.* / alert.* scalars, so
  * alert counts diff-gate like any other metric), and mct-fleet-v1
@@ -144,62 +142,29 @@ struct RunData
 // Run manifests (mct-manifest-v1) + fleet rollup (mct-fleet-v1)
 // --------------------------------------------------------------------
 
-/** One artifact row of a loaded run manifest. */
-struct ManifestArtifactRow
-{
-    std::string kind;   ///< stats, host, timeline, spans, ...
-    std::string schema; ///< artifact document schema ("" for JSONL)
-    std::string path;   ///< as recorded (relative to the manifest)
-    std::uint64_t bytes = 0;
-    std::string fnv1a; ///< 16-digit hex checksum of the artifact
-};
+/** Load a manifest document; false + @p err on parse/shape issues
+ *  (an "fnv1a" that is not 16 lowercase hex digits included). */
+[[nodiscard]] bool loadManifest(const std::string &path, RunManifest &out,
+                                std::string &err);
 
-/** One loaded mct-manifest-v1 document. */
-struct ManifestData
-{
-    std::string path; ///< the manifest file itself
-    std::string runId;
-    std::string mode;
-    std::string app;
-    std::string config;
-    std::uint64_t seed = 0;
-    std::string faultPlan;
-    std::string fingerprint;
-    std::vector<ManifestArtifactRow> artifacts;
+/** First artifact of @p kind in @p m; null when the run produced none. */
+const ManifestArtifact *findArtifact(const RunManifest &m,
+                                     const std::string &kind);
 
-    /** @p a's path resolved against this manifest's directory. */
-    std::string artifactPath(const ManifestArtifactRow &a) const;
-
-    /** First artifact of @p kind; null when the run produced none. */
-    const ManifestArtifactRow *artifact(const std::string &kind) const;
-
-    /** Value of the --group-by field @p field; false on an unknown
-     *  field name (app, mode, config, seed, fault_plan, run_id). */
-    [[nodiscard]] bool groupKey(const std::string &field,
-                                std::string &out) const;
-};
-
-/** Load a manifest document; false + @p err on parse/shape issues. */
-[[nodiscard]] bool loadManifest(const std::string &path,
-                                ManifestData &out, std::string &err);
+/** Value of the --group-by field @p field of @p m; false on an unknown
+ *  field name (app, mode, config, seed, fault_plan, run_id). */
+[[nodiscard]] bool manifestGroupKey(const RunManifest &m,
+                                    const std::string &field,
+                                    std::string &out);
 
 /**
- * Re-checksum every artifact @p m names. An unreadable artifact or a
- * checksum/size mismatch fails with @p err prefixed
- * "integrity error:" — the named signal CI greps for when it tampers
- * an artifact on purpose.
+ * Re-checksum every artifact the manifest at @p path names. An
+ * unreadable artifact or a checksum/size mismatch fails with @p err
+ * prefixed "integrity error:" — the named signal CI greps for when it
+ * tampers an artifact on purpose.
  */
-[[nodiscard]] bool verifyManifest(const ManifestData &m,
-                                  std::string &err);
-
-/**
- * Rebuild a typed snapshot from a loaded run document: scalars take
- * their kind from the document's "kinds" object (gauge when absent —
- * correct for host documents, which carry no counters), histograms
- * are re-bucketed into dense LogHistogram form. The result feeds
- * StatMerge, whose merge is order-invariant by construction.
- */
-StatSnapshot snapshotFromRun(const RunData &run);
+[[nodiscard]] bool verifyManifest(const std::string &path,
+                                  const RunManifest &m, std::string &err);
 
 /** One |value - mean| > k*stddev dispersion flag within a group. */
 struct FleetOutlier
@@ -337,115 +302,21 @@ void renderTimeline(std::ostream &os, const TimelineData &tl,
                     const AlertLog &alerts, std::size_t maxWindows);
 
 // --------------------------------------------------------------------
-// Span JSONL
+// Span and provenance JSONL
 // --------------------------------------------------------------------
 
-/** One request-lifecycle span row from a --spans-out stream. */
-struct SpanRow
-{
-    std::uint64_t id = 0;
-    int hitLevel = 0;
-    bool isWrite = false;
-    std::uint64_t inst = 0;
-    double totalNs = 0.0;
-    /** Stage name -> duration in ns. */
-    std::map<std::string, double> stageNs;
-};
-
-struct SpanSet
-{
-    std::vector<SpanRow> spans;
-};
-
-/** Load a span JSONL stream; false + @p err on malformed lines. */
-[[nodiscard]] bool loadSpans(const std::string &path, SpanSet &out,
+/** Load a --spans-out JSONL stream; false + @p err on malformed lines
+ *  (an unknown stage name included). */
+[[nodiscard]] bool loadSpans(const std::string &path,
+                             std::vector<SpanRecord> &out,
                              std::string &err);
 
-// --------------------------------------------------------------------
-// Stage-timing profiles
-// --------------------------------------------------------------------
-
-struct ProfileStage
-{
-    std::string name;
-    double seconds = 0.0;    ///< wall seconds
-    double cpuSeconds = 0.0; ///< CPU seconds (0 when absent)
-    std::uint64_t calls = 0;
-};
-
-struct Profile
-{
-    std::vector<ProfileStage> stages;
-};
-
-/**
- * Load the "stages" array of an mct-host-v1 document: an mct_sim
- * --host-profile-out file or a bench harness --profile-out file.
- * cpu_seconds is optional.
- */
-[[nodiscard]] bool loadProfile(const std::string &path, Profile &out,
-                               std::string &err);
-
-// --------------------------------------------------------------------
-// Decision provenance (--provenance-out JSONL)
-// --------------------------------------------------------------------
-
-/** One objective's predicted-vs-realized audit row. */
-struct ProvObjective
-{
-    double pred = 0.0;
-    double sigma = 0.0; ///< model-reported 1-sigma (0 when n/a)
-    double real = 0.0;
-    double err = 0.0; ///< |pred - real| / |real|
-    bool errValid = false;
-};
-
-/** A rejected runner-up candidate. */
-struct ProvCandidate
-{
-    std::uint64_t config = 0;
-    double ipc = 0.0;
-    double lifetimeYears = 0.0;
-    double energyJ = 0.0;
-    bool feasible = false;
-};
-
-/** One decision's provenance record (one JSONL line). */
-struct ProvRecord
-{
-    std::uint64_t seq = 0;
-    std::uint64_t phase = 0;
-    std::uint64_t inst = 0;
-    std::uint64_t closeInst = 0;
-    std::string model;
-    std::string config;
-    long long chosen = -1;
-    bool fallback = false;
-    std::uint64_t sampled = 0;
-    double minLifetimeYears = 0.0;
-    double ipcFraction = 0.0;
-    double safetyMargin = 0.0;
-    /** (objective name, audit row) in the emitter's order. */
-    std::vector<std::pair<std::string, ProvObjective>> objectives;
-    std::vector<ProvCandidate> runnerUps;
-    double bestSampledIpc = 0.0;
-    double regret = 0.0;
-    double cumRegret = 0.0;
-    /** objective -> per-feature attribution (absent when the decision
-     *  was not an attribution-snapshot decision). */
-    std::vector<std::pair<std::string, std::vector<double>>>
-        attribution;
-    bool closed = false;
-};
-
-struct ProvSet
-{
-    std::vector<ProvRecord> records;
-};
-
-/** Load a provenance JSONL stream; false + @p err on bad lines. */
+/** Load a --provenance-out JSONL stream; false + @p err on bad lines
+ *  (an unknown objective, or "config"/"chosen" outside
+ *  uint32/int32, included). */
 [[nodiscard]] bool loadProvenance(const std::string &path,
-                                  ProvSet &out, std::string &err);
+                                  std::vector<ProvenanceRecord> &out,
+                                  std::string &err);
 
 // --------------------------------------------------------------------
 // Thresholds (declarative regression gates)
@@ -542,7 +413,7 @@ void renderRun(std::ostream &os, const RunData &run,
                std::size_t maxWindows);
 
 /** Span summary (count/mean by hit level and stage). */
-void renderSpans(std::ostream &os, const SpanSet &spans);
+void renderSpans(std::ostream &os, const std::vector<SpanRecord> &spans);
 
 /**
  * Per-decision audit blocks (predicted vs realized per objective,
@@ -551,17 +422,17 @@ void renderSpans(std::ostream &os, const SpanSet &spans);
  * attribution entries (falls back to the index when short/empty);
  * @p maxDecisions caps the per-decision blocks (0 = all).
  */
-void renderExplain(std::ostream &os, const ProvSet &prov,
+void renderExplain(std::ostream &os,
+                   const std::vector<ProvenanceRecord> &prov,
                    const std::vector<std::string> &featureNames,
                    std::size_t maxDecisions);
 
 /**
- * Host-telemetry summary for one run: simulator throughput
- * (sim.mips), wall/CPU seconds, memory high-water, then the per-stage
- * host attribution table.
+ * Host-telemetry summary of an mct-host-v1 document: simulator
+ * throughput (sim.mips), wall/CPU seconds, memory high-water, then
+ * the per-stage host attribution table.
  */
-void renderHostSummary(std::ostream &os, const RunData &run,
-                       const Profile &profile);
+void renderHostSummary(std::ostream &os, const RunData &host);
 
 } // namespace mct::report
 
